@@ -120,7 +120,6 @@ Status SetUpWorkload(Database& db, const IvmConfig& c) {
       from px, members
       where px.sym = members.sym
       group by grp;
-    create index on vidx (grp);
   )"));
   return Status::OK();
 }

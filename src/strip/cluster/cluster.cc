@@ -115,9 +115,8 @@ Status Cluster::ConnectTwoTier(const std::string& view_name,
     ddl += schema.column(c).name + " " +
            ValueTypeName(schema.column(c).type);
   }
-  ddl += "); create index on " + view_name + " (" + schema.column(0).name +
-         ");";
-  STRIP_RETURN_IF_ERROR(merge_->ExecuteScript(ddl));
+  ddl += ")";
+  STRIP_RETURN_IF_ERROR(merge_->Execute(ddl).status());
 
   // Seed it from the shards' current partial contents. The same group can
   // live on several shards (the group key need not be the routing key), so

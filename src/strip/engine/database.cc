@@ -1,8 +1,6 @@
 #include "strip/engine/database.h"
 
 #include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "strip/common/string_util.h"
 #include "strip/viewmaint/view_def.h"
@@ -47,6 +45,7 @@ void Database::RegisterBuiltinMetrics() {
   txn_commits_ = metrics_.counter("txn.commits");
   txn_aborts_ = metrics_.counter("txn.aborts");
   action_restarts_ = metrics_.counter("rules.action_restarts");
+  autocommit_restarts_ = metrics_.counter("txn.autocommit_restarts");
 
   if (options_.enable_metrics) {
     batch_factor_hist_ = metrics_.histogram(
@@ -309,45 +308,29 @@ Status Database::RunActionTask(TaskControlBlock& task) {
     return Status::NotFound(StrFormat("no user function '%s'",
                                       task.function_name.c_str()));
   }
-  Status last;
-  uint64_t priority = 0;  // first attempt's id, kept across retries
-  for (int attempt = 0; attempt <= options_.action_retry_limit; ++attempt) {
-    STRIP_ASSIGN_OR_RETURN(Transaction * txn, Begin(priority));
-    if (priority == 0) priority = txn->priority();
-    // The action transaction is a child span of the task: retries mint
-    // fresh spans but stay inside the same trace, so the exported timeline
-    // shows every attempt hanging off the firing that caused it.
-    txn->set_trace(ChildOf(task.trace));
-    // Mirror lock waits into the task (the txn dies inside Commit/Abort,
-    // taking its own accumulator with it); the task outlives the commit.
-    txn->set_lock_wait_sink(&task.lock_wait_micros);
-    FunctionContext ctx(*this, *txn, task);
-    Status st = (*fn)(ctx);
-    if (st.ok()) {
-      st = Commit(txn);
-      if (st.ok()) {
-        RecordActionCommit(task);
-        return Status::OK();
-      }
-    } else {
-      Status ignored = Abort(txn);
-      (void)ignored;
-    }
-    if (st.code() != StatusCode::kAborted) return st;  // real failure
-    last = st;  // wait-die victim: restart with the ORIGINAL priority
-    ++task.lock_restarts;
-    action_restarts_->Add();
-    trace_ring_.Record(TraceEventKind::kRestart, task.id(), Now(),
-                       task.function_name.c_str(), task.trace.trace_id);
-    if (threaded_ != nullptr) {
-      // Back off so the conflicting older transaction can finish; the
-      // simulated executor is single-threaded and never needs this.
-      auto delay = std::chrono::milliseconds(
-          std::min(1 << std::min(attempt, 5), 32));
-      std::this_thread::sleep_for(delay);
-    }
-  }
-  return last;
+  Status st = RunRetried(
+      RetryScope::kTask,
+      [&](Transaction* txn) {
+        // The action transaction is a child span of the task: restarts
+        // mint fresh spans but stay inside the same trace, so the exported
+        // timeline shows every attempt hanging off the firing that caused
+        // it.
+        txn->set_trace(ChildOf(task.trace));
+        // Mirror lock waits into the task (the txn dies inside
+        // Commit/Abort, taking its own accumulator with it); the task
+        // outlives the commit.
+        txn->set_lock_wait_sink(&task.lock_wait_micros);
+        FunctionContext ctx(*this, *txn, task);
+        return (*fn)(ctx);
+      },
+      [&] {
+        ++task.lock_restarts;
+        action_restarts_->Add();
+        trace_ring_.Record(TraceEventKind::kRestart, task.id(), Now(),
+                           task.function_name.c_str(), task.trace.trace_id);
+      });
+  if (st.ok()) RecordActionCommit(task);
+  return st;
 }
 
 // ---------------------------------------------------------------------------
@@ -571,33 +554,15 @@ Result<ResultSet> Database::Execute(const std::string& sql) {
 
 Result<ResultSet> Database::Execute(const Statement& stmt) {
   if (IsDdl(stmt)) return ExecuteDdl(stmt);
-  STRIP_ASSIGN_OR_RETURN(Transaction * txn, Begin());
-  auto result = ExecuteStatement(txn, stmt);
-  if (!result.ok()) {
-    Status ignored = Abort(txn);
-    (void)ignored;
-    return result.status();
-  }
-  STRIP_RETURN_IF_ERROR(Commit(txn));
-  return result;
+  return ExecuteAutocommit(
+      [&](Transaction* txn) { return ExecuteStatement(txn, stmt); });
 }
 
 Status Database::ExecuteScript(const std::string& sql) {
   STRIP_ASSIGN_OR_RETURN(std::vector<Statement> stmts,
                          Parser::ParseScript(sql));
   for (const Statement& stmt : stmts) {
-    if (IsDdl(stmt)) {
-      STRIP_RETURN_IF_ERROR(ExecuteDdl(stmt).status());
-      continue;
-    }
-    STRIP_ASSIGN_OR_RETURN(Transaction * txn, Begin());
-    auto result = ExecuteStatement(txn, stmt);
-    if (!result.ok()) {
-      Status ignored = Abort(txn);
-      (void)ignored;
-      return result.status();
-    }
-    STRIP_RETURN_IF_ERROR(Commit(txn));
+    STRIP_RETURN_IF_ERROR(Execute(stmt).status());
   }
   return Status::OK();
 }

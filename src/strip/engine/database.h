@@ -1,12 +1,16 @@
 #ifndef STRIP_ENGINE_DATABASE_H_
 #define STRIP_ENGINE_DATABASE_H_
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -160,6 +164,32 @@ class Database {
   /// Rolls back every logged change and releases locks.
   Status Abort(Transaction* txn);
 
+  /// Who a restarted transaction runs for (see RunRetried).
+  enum class RetryScope {
+    /// A task on the engine's executor: rule actions and feed upserts. No
+    /// DDL latch across the attempt (an action may itself run DDL), and a
+    /// backoff only on the threaded executor — the simulated one runs
+    /// tasks one at a time, so a restart there never waits out a rival.
+    kTask,
+    /// An autocommit statement on the caller's own thread. Each attempt
+    /// holds the DDL latch shared from plan check through commit and
+    /// drops it before the backoff, so no sleeper holds off DDL. The
+    /// backoff always applies: the rival is another caller thread,
+    /// whatever the executor.
+    kAutocommit,
+  };
+
+  /// Runs `body(Transaction*) -> Status` in a fresh transaction and
+  /// commits it. A wait-die abort (kAborted, from the body or from the
+  /// commit's rule conditions) restarts the whole transaction, up to
+  /// Options::action_retry_limit times, with the FIRST attempt's priority:
+  /// the restarted transaction keeps its age, becomes the oldest in time,
+  /// and so cannot starve. `on_restart()` runs after every aborted
+  /// attempt. Any other failure returns at once. Templates rather than
+  /// std::function, so the rule-action path allocates nothing per attempt.
+  template <typename Body, typename OnRestart>
+  Status RunRetried(RetryScope scope, Body&& body, OnRestart&& on_restart);
+
   // --- rule actions / functions -------------------------------------------
   /// Registers a user (rule action) function.
   Status RegisterFunction(const std::string& name, UserFunction fn);
@@ -228,6 +258,11 @@ class Database {
   /// Immediate (non-transactional) DDL execution.
   Result<ResultSet> ExecuteDdl(const Statement& stmt);
 
+  /// One autocommit statement: `run(Transaction*) -> Result<ResultSet>`
+  /// under RunRetried(kAutocommit), counting restarts.
+  template <typename Run>
+  Result<ResultSet> ExecuteAutocommit(Run&& run);
+
   /// Wires every subsystem stats struct into the registry as callback
   /// gauges and resolves the hot-path counter / histogram handles.
   void RegisterBuiltinMetrics();
@@ -287,6 +322,7 @@ class Database {
   Counter* txn_commits_ = nullptr;
   Counter* txn_aborts_ = nullptr;
   Counter* action_restarts_ = nullptr;
+  Counter* autocommit_restarts_ = nullptr;
   /// Null when !options_.enable_metrics: batching-factor histogram
   /// (firings consumed per executed rule task).
   Histogram* batch_factor_hist_ = nullptr;
@@ -294,6 +330,52 @@ class Database {
   /// cost counters, fed by the executors at task finish (ExecutorObs).
   std::unique_ptr<RuleCostTracker> rule_cost_;
 };
+
+template <typename Body, typename OnRestart>
+Status Database::RunRetried(RetryScope scope, Body&& body,
+                            OnRestart&& on_restart) {
+  const bool autocommit = scope == RetryScope::kAutocommit;
+  uint64_t priority = 0;  // first attempt's id, kept across restarts
+  for (int attempt = 0;; ++attempt) {
+    Status st;
+    {
+      std::optional<DdlLatch::SharedGuard> ddl;
+      if (autocommit) ddl.emplace(ddl_latch_);
+      STRIP_ASSIGN_OR_RETURN(Transaction * txn, Begin(priority));
+      if (priority == 0) priority = txn->priority();
+      st = body(txn);
+      if (st.ok()) {
+        st = Commit(txn);  // a failed commit has already aborted
+      } else {
+        Status ignored = Abort(txn);
+        (void)ignored;
+      }
+    }
+    if (st.code() != StatusCode::kAborted) return st;  // done, or real
+    on_restart();
+    if (attempt >= options_.action_retry_limit) return st;
+    if (autocommit || threaded_ != nullptr) {
+      // Back off so the conflicting older transaction can finish.
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          std::min(1 << std::min(attempt, 5), 32)));
+    }
+  }
+}
+
+template <typename Run>
+Result<ResultSet> Database::ExecuteAutocommit(Run&& run) {
+  std::optional<ResultSet> out;
+  STRIP_RETURN_IF_ERROR(RunRetried(
+      RetryScope::kAutocommit,
+      [&](Transaction* txn) {
+        auto result = run(txn);
+        if (!result.ok()) return result.status();
+        out = std::move(*result);
+        return Status::OK();
+      },
+      [this] { autocommit_restarts_->Add(); }));
+  return std::move(*out);
+}
 
 }  // namespace strip
 

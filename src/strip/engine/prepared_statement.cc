@@ -335,19 +335,11 @@ bool ShadowedByTask(const Plan& plan, TaskControlBlock* task) {
 Result<ResultSet> PreparedStatement::Execute(
     const std::vector<Value>& params) {
   if (is_ddl()) return db_->ExecuteDdl(stmt_);
-  // Hold the DDL latch across the whole transaction: the generation check
-  // in CurrentPlan and the execution against the frozen Table* must be one
-  // atomic unit w.r.t. metadata DDL (ddl_latch.h).
-  DdlLatch::SharedGuard ddl(db_->ddl_latch_);
-  STRIP_ASSIGN_OR_RETURN(Transaction * txn, db_->Begin());
-  auto result = ExecuteInTxn(txn, params);
-  if (!result.ok()) {
-    Status ignored = db_->Abort(txn);
-    (void)ignored;
-    return result.status();
-  }
-  STRIP_RETURN_IF_ERROR(db_->Commit(txn));
-  return result;
+  // kAutocommit holds the DDL latch across each whole attempt: the
+  // generation check in CurrentPlan and the execution against the frozen
+  // Table* must be one atomic unit w.r.t. metadata DDL (ddl_latch.h).
+  return db_->ExecuteAutocommit(
+      [&](Transaction* txn) { return ExecuteInTxn(txn, params); });
 }
 
 Result<ResultSet> PreparedStatement::ExecuteInTxn(
@@ -397,13 +389,14 @@ Result<int> PreparedStatement::ExecuteDml(Transaction* txn,
   DdlLatch::SharedGuard ddl(db_->ddl_latch_);
   std::shared_ptr<const Plan> plan = CurrentPlan();
   if (plan->dml != Plan::Dml::kNone) {
-    return RunDmlFast(*plan, txn, params);
+    return RunDmlFast(*plan, txn, params, task);
   }
   return db_->ExecuteDml(txn, stmt_, params, task);
 }
 
 Result<int> PreparedStatement::RunDmlFast(const Plan& plan, Transaction* txn,
-                                          const std::vector<Value>& params) {
+                                          const std::vector<Value>& params,
+                                          TaskControlBlock* task) {
   if (txn == nullptr) {
     return Status::FailedPrecondition("DML requires a transaction");
   }
@@ -442,12 +435,14 @@ Result<int> PreparedStatement::RunDmlFast(const Plan& plan, Transaction* txn,
   };
 
   std::vector<RowHandle> targets;
+  size_t visited = 0;  // rows the access path read, credited once below
   bool collected = false;
   if (plan.index != nullptr) {
     auto key = plan.index_key->Eval(frame);
     if (key.ok()) {
       std::vector<RowHandle> candidates;
       plan.index->Lookup(*key, candidates);
+      visited = candidates.size();
       for (RowHandle r : candidates) {
         STRIP_ASSIGN_OR_RETURN(bool ok, matches(r->rec));
         if (ok) targets.push_back(r);
@@ -461,12 +456,14 @@ Result<int> PreparedStatement::RunDmlFast(const Plan& plan, Transaction* txn,
     PageManager::ScanPos pos;
     ScanBatch batch;
     while (table->NextBatch(pos, batch)) {
+      visited += batch.count;
       for (size_t i = 0; i < batch.count; ++i) {
         STRIP_ASSIGN_OR_RETURN(bool ok, matches(batch.rows[i]->rec));
         if (ok) targets.push_back(batch.rows[i]);
       }
     }
   }
+  if (task != nullptr) task->rows_scanned += visited;
 
   if (plan.dml == Plan::Dml::kDelete) {
     for (RowHandle it : targets) {

@@ -100,8 +100,11 @@ class PreparedStatement {
   /// delegates to the interpreted executor (preserving its exact errors).
   std::shared_ptr<const Plan> BuildPlan();
 
+  /// `task`, when non-null, is credited with the rows the access path
+  /// read (index candidates or scanned rows) for per-rule cost counters.
   Result<int> RunDmlFast(const Plan& plan, Transaction* txn,
-                         const std::vector<Value>& params);
+                         const std::vector<Value>& params,
+                         TaskControlBlock* task);
 
   Database* db_;
   std::string sql_;

@@ -51,6 +51,11 @@ const char* SessionPriorityName(SessionPriority p) {
   return "unknown";
 }
 
+bool IsShedRefusal(const Status& status) {
+  return status.code() == StatusCode::kAborted &&
+         status.message().rfind(kShedPrefix, 0) == 0;
+}
+
 // --- Hello -------------------------------------------------------------------
 
 std::string Encode(const HelloRequest& m) {

@@ -29,6 +29,12 @@ enum class SessionPriority : uint8_t { kLow = 0, kNormal = 1, kHigh = 2 };
 
 const char* SessionPriorityName(SessionPriority p);
 
+/// Admission control refuses work with a retryable kAborted whose message
+/// starts with kShedPrefix. A wait-die abort that outlived its restarts is
+/// kAborted too, but a failure, not a shed; IsShedRefusal tells them apart.
+inline constexpr char kShedPrefix[] = "server is shedding";
+bool IsShedRefusal(const Status& status);
+
 struct HelloRequest {
   uint8_t protocol_version = kFrameVersion;
   SessionPriority priority = SessionPriority::kNormal;

@@ -489,7 +489,8 @@ Result<Frame> Server::HandleHello(Connection* conn, const Frame& frame) {
     shed_sessions_->Add();
     conn->closing = true;
     return Status::Aborted(
-        "server is shedding low-priority sessions — retry with backoff");
+        std::string(kShedPrefix) +
+        " low-priority sessions — retry with backoff");
   }
   conn->hello_done = true;
   conn->priority = req.priority;
@@ -516,7 +517,8 @@ Result<Frame> Server::HandleExec(Connection* conn, const Frame& frame) {
   if (ShouldShed(*conn)) {
     shed_requests_->Add();
     return Status::Aborted(
-        "server is shedding low-priority work — retry with backoff");
+        std::string(kShedPrefix) +
+        " low-priority work — retry with backoff");
   }
   auto it = conn->stmts.find(req.handle);
   if (it == conn->stmts.end()) {
@@ -542,7 +544,8 @@ Result<Frame> Server::HandleFeedAppend(Connection* conn,
   if (ShouldShed(*conn)) {
     shed_requests_->Add();
     return Status::Aborted(
-        "server is shedding low-priority feed batches — retry with backoff");
+        std::string(kShedPrefix) +
+        " low-priority feed batches — retry with backoff");
   }
   if (durable_failed_.load(std::memory_order_relaxed)) {
     return Status::Internal(

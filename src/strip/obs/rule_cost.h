@@ -17,7 +17,8 @@ namespace strip {
 ///   rules.lock_wait_us.<fn>     blocked in wait-die acquisition (histogram)
 ///   rules.exec_us.<fn>          action body CPU time (histogram)
 ///   rules.cost.cpu_micros.<fn>      total CPU micros (counter)
-///   rules.cost.rows_scanned.<fn>    rows touched by batched scans (counter)
+///   rules.cost.rows_scanned.<fn>    table rows read: scanned rows plus
+///                                   index-probe candidates (counter)
 ///   rules.cost.deltas_folded.<fn>   group deltas netted away (counter)
 ///   rules.cost.lock_aborts.<fn>     wait-die restarts charged (counter)
 struct RuleCostHandles {

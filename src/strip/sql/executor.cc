@@ -353,6 +353,7 @@ Status SqlExecutor::ScanInput(
                     index_key.ToString().c_str()));
     std::vector<RowHandle> rows;
     index->Lookup(index_key, rows);
+    if (ctx_.rows_scanned != nullptr) *ctx_.rows_scanned += rows.size();
     for (RowHandle r : rows) {
       ScanItem item;
       item.rec = r->rec;
@@ -1115,6 +1116,7 @@ Result<std::vector<RowHandle>> CollectMatchingRows(
   if (index != nullptr) {
     std::vector<RowHandle> candidates;
     index->Lookup(key, candidates);
+    if (rows_scanned != nullptr) *rows_scanned += candidates.size();
     for (RowHandle r : candidates) {
       STRIP_ASSIGN_OR_RETURN(bool ok, matches(r->rec));
       if (ok) out.push_back(r);

@@ -46,7 +46,8 @@ struct ExecContext {
   /// Forces interpreted expression evaluation
   /// (Database::Options::enable_compiled_exprs = false).
   bool disable_compiled_exprs = false;
-  /// When non-null, batched scans add the rows they visit here — the
+  /// When non-null, table access paths add the rows they read here
+  /// (every row of a batched scan, every candidate of an index probe) — the
   /// engine points it at the executing task's rows_scanned so per-rule
   /// cost counters can attribute scan work (src/strip/obs/rule_cost.h).
   uint64_t* rows_scanned = nullptr;

@@ -333,7 +333,6 @@ Status SetUpWorkload(Database& db, const ChaosOptions& o) {
         from base, sectors
         where base.sym = sectors.sym
         group by sec;
-      create index on chaos_view (sec);
     )"));
     RuleGenOptions gen;
     gen.delay_seconds = o.view_delay_seconds;
@@ -609,7 +608,6 @@ Status SetUpClusterWorkload(Cluster& cluster, const ChaosOptions& o) {
       from base, sectors
       where base.sym = sectors.sym
       group by sec;
-    create index on chaos_view (sec);
   )"));
 
   Cluster::TwoTierOptions tt;

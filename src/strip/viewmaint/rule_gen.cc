@@ -587,7 +587,7 @@ UserFunction MakeAggregateMaintainer(std::shared_ptr<AggPlan> plan,
 
 /// The action function for a projection view: recompute each affected key
 /// once from its LAST bound row (rows arrive in commit order).
-UserFunction MakeProjectionMaintainer(std::shared_ptr<const Statement> update,
+UserFunction MakeProjectionMaintainer(PreparedStatementPtr update,
                                       std::string bound_name,
                                       int num_values) {
   return [update, bound_name, num_values](FunctionContext& ctx) -> Status {
@@ -681,6 +681,24 @@ std::string ProbeText(const ViewShape& shape, const ProbeParts& probe) {
     sql += " and " + c->ToString();
   }
   return sql;
+}
+
+// ---------------------------------------------------------------------------
+// View key index
+// ---------------------------------------------------------------------------
+
+/// Makes every generated statement that addresses a view row by its key an
+/// index probe, not a scan of the whole view: creates a hash index on
+/// `column` of `table` unless the column is indexed already. Ordinary DDL,
+/// so the catalog generation bumps and plans frozen earlier re-plan.
+Status EnsureKeyIndex(Database& db, const std::string& table,
+                      const std::string& column) {
+  STRIP_ASSIGN_OR_RETURN(Table * t, db.catalog().GetTable(table));
+  if (t->FindIndex(column) != nullptr) return Status::OK();
+  CreateIndexStmt stmt;
+  stmt.table = table;
+  stmt.column = column;
+  return db.Execute(Statement(std::move(stmt))).status();
 }
 
 // ---------------------------------------------------------------------------
@@ -803,6 +821,11 @@ Result<GeneratedRule> GenerateMaintenanceRule(Database& db,
               "view column '_count' collides with the hidden group count");
         }
       }
+    }
+    // Before the hidden-count rebuild, which carries indexes over, and
+    // before any statement below is prepared.
+    STRIP_RETURN_IF_ERROR(EnsureKeyIndex(db, view_name, shape.group_output));
+    if (track_count) {
       STRIP_RETURN_IF_ERROR(db.views().EnableHiddenCount(view_name));
     }
 
@@ -834,6 +857,10 @@ Result<GeneratedRule> GenerateMaintenanceRule(Database& db,
           db.Prepare(StrFormat(
               "delete from %s where %s = ? and _count <= 0",
               view_name.c_str(), shape.group_output.c_str())));
+    }
+    for (const PreparedStatementPtr& ps :
+         {plan->update, plan->avg_read, plan->count_check, plan->erase}) {
+      if (ps != nullptr) out.key_statements.push_back(ps);
     }
     if (strategy == AggStrategy::kDimProbe) {
       STRIP_ASSIGN_OR_RETURN(plan->probe,
@@ -1058,17 +1085,16 @@ Result<GeneratedRule> GenerateMaintenanceRule(Database& db,
   }
   cond.where = std::move(where);
 
-  // UPDATE view SET c1 = ?1, ..., cn = ?n WHERE key = ?n+1
-  UpdateStmt upd;
-  upd.table = view_name;
+  // update <view> set c1 = ?, ..., cn = ? where <key> = ?
+  STRIP_RETURN_IF_ERROR(EnsureKeyIndex(db, view_name, shape.key_output));
+  std::string upd = "update " + view_name + " set ";
   for (size_t i = 0; i < shape.value_outputs.size(); ++i) {
-    upd.sets.push_back(UpdateStmt::SetClause{
-        shape.value_outputs[i], MakeParameter(static_cast<int>(i))});
+    if (i > 0) upd += ", ";
+    upd += shape.value_outputs[i] + " = ?";
   }
-  upd.where = MakeBinary(
-      BinaryOp::kEq, MakeColumnRef("", shape.key_output),
-      MakeParameter(static_cast<int>(shape.value_outputs.size())));
-  auto update = std::make_shared<Statement>(std::move(upd));
+  upd += " where " + shape.key_output + " = ?";
+  STRIP_ASSIGN_OR_RETURN(PreparedStatementPtr update, db.Prepare(upd));
+  out.key_statements.push_back(update);
   STRIP_RETURN_IF_ERROR(db.RegisterFunction(
       function_name,
       MakeProjectionMaintainer(update, bound_name,
@@ -1461,6 +1487,7 @@ Result<MergeRuleSpec> GenerateMergeRule(Database& db,
          " (_seq);";
   STRIP_RETURN_IF_ERROR(db.ExecuteScript(ddl));
 
+  STRIP_RETURN_IF_ERROR(EnsureKeyIndex(db, view_table, g));
   auto plan = std::make_shared<MergePlan>();
   plan->function_name = out.function_name;
   plan->num_sums = sum_cols.size();

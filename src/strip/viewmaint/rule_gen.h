@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "strip/common/status.h"
+#include "strip/engine/prepared_statement.h"
 #include "strip/feed/feed.h"
 #include "strip/sql/ast.h"
 
@@ -89,6 +90,11 @@ struct GeneratedRule {
   /// Which derivation the generator picked: "direct", "dim-probe",
   /// "join-in-condition", or "projection".
   std::string strategy;
+  /// The prepared statements the actions address view rows with, by key
+  /// (aggregation: update, AVG read, count check, erase — those
+  /// generated; projection: the keyed update). The generator indexes the
+  /// view's key column first, so each plans an index probe (PlanNotes).
+  std::vector<PreparedStatementPtr> key_statements;
 };
 
 /// Generates and installs the maintenance rule + action function for the

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -456,6 +457,130 @@ TEST(NetTest, ShedRefusesLowPriorityWorkUnderOverload) {
   EXPECT_OK(normal->FeedAppend("quotes", {Rec("sun", 3.0)}).status());
   EXPECT_OK(normal->Ping());
   server->Stop();
+}
+
+// The strip_server demo schema, unchanged: it never indexes quote_stats
+// itself. The generator indexes the view's group key, so maintenance
+// updates and the server's prepared point reads both probe; and an
+// autocommit read that still loses wait-die to a maintenance transaction
+// is restarted with its first priority instead of failing.
+constexpr const char* kDemoSchema = R"(
+  create table quotes (symbol string, price double);
+  create index on quotes (symbol);
+  create materialized view quote_stats as
+    select symbol, sum(price) as total, count(*) as n
+    from quotes group by symbol;
+)";
+constexpr const char* kPointRead =
+    "select total, n from quote_stats where symbol = ?";
+
+ServerOptions DemoOptions() {
+  ServerOptions o = BaseOptions();
+  o.schema_sql = kDemoSchema;
+  o.bootstrap = [](Database& db) -> Status {
+    RuleGenOptions gen;
+    gen.delay_seconds = 0.01;
+    return GenerateMaintenanceRule(db, "quote_stats", "quotes", gen).status();
+  };
+  return o;
+}
+
+bool PointReadProbes(Server& server) {
+  auto ps = server.db().Prepare(kPointRead);
+  STRIP_CHECK_MSG(ps.ok(), "prepare failed");
+  auto probes = (*ps)->UsesIndexProbe();
+  return probes.ok() && *probes;
+}
+
+TEST(NetViewProbeTest, ConcurrentFeedAndPointReadsNeverAbort) {
+  TempDir dir;
+  ServerOptions opts = DemoOptions();
+  opts.data_dir = dir.path();
+  ASSERT_OK_AND_ASSIGN(auto server, Server::Start(opts));
+  EXPECT_TRUE(PointReadProbes(*server));
+
+  constexpr int kSymbols = 64;
+  constexpr int kBatches = 150;
+  std::atomic<bool> feeding{true};
+  std::atomic<int> reads{0}, aborted{0}, other_errors{0};
+  std::vector<std::thread> threads;
+  for (int f = 0; f < 2; ++f) {
+    threads.emplace_back([&, f] {
+      auto c = Client::Connect("127.0.0.1", server->port());
+      STRIP_CHECK_MSG(c.ok(), "connect failed");
+      for (int b = 0; b < kBatches; ++b) {
+        std::vector<FeedRecord> batch;
+        for (int i = 0; i < 8; ++i) {
+          batch.push_back(Rec("s" + std::to_string((b * 8 + i) % kSymbols),
+                              1.0 + f + b * 0.5 + i));
+        }
+        if (!(*c)->FeedAppend("quotes", batch).ok()) ++other_errors;
+      }
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      auto c = Client::Connect("127.0.0.1", server->port());
+      STRIP_CHECK_MSG(c.ok(), "connect failed");
+      auto stmt = (*c)->Prepare(kPointRead);
+      STRIP_CHECK_MSG(stmt.ok(), "prepare failed");
+      for (int i = 0; feeding.load() || i < 50; ++i) {
+        auto rs = (*c)->Exec(stmt->handle,
+                             {Value::Str("s" + std::to_string(
+                                                   (i * 7 + r) % kSymbols))});
+        ++reads;
+        if (rs.ok()) continue;
+        if (rs.status().code() == StatusCode::kAborted) {
+          ++aborted;
+        } else {
+          ++other_errors;
+        }
+      }
+    });
+  }
+  threads[0].join();
+  threads[1].join();
+  feeding = false;
+  threads[2].join();
+  threads[3].join();
+  EXPECT_GT(reads.load(), 100);
+  EXPECT_EQ(aborted.load(), 0);
+  EXPECT_EQ(other_errors.load(), 0);
+
+  // Snapshot, a WAL tail past it, then recovery: the view is rebuilt under
+  // the same generated index, and the point read still probes.
+  ASSERT_OK_AND_ASSIGN(auto client,
+                       Client::Connect("127.0.0.1", server->port()));
+  ASSERT_OK(client->Admin(AdminOp::kCheckpoint).status());
+  ASSERT_OK(client->FeedAppend("quotes", {Rec("tail", 9.0)}).status());
+  ASSERT_OK(client->Admin(AdminOp::kDrain).status());
+  auto stats = client->Prepare("select count(*) from quote_stats");
+  ASSERT_OK(stats.status());
+  ASSERT_OK_AND_ASSIGN(ExecResponse before, client->Exec(stats->handle));
+  // The kill -9 disk image: Stop() would checkpoint the tail away.
+  TempDir crash_dir;
+  fs::copy(dir.path(), crash_dir.path(),
+           fs::copy_options::recursive | fs::copy_options::overwrite_existing);
+  client.reset();
+  server->Stop();
+
+  opts.data_dir = crash_dir.path();
+  ASSERT_OK_AND_ASSIGN(auto reborn, Server::Start(opts));
+  EXPECT_TRUE(reborn->recovery_stats().snapshot_loaded);
+  EXPECT_EQ(reborn->recovery_stats().entries_replayed, 1u);
+  EXPECT_TRUE(PointReadProbes(*reborn));
+  ASSERT_OK_AND_ASSIGN(auto c2, Client::Connect("127.0.0.1", reborn->port()));
+  auto s2 = c2->Prepare("select count(*) from quote_stats");
+  ASSERT_OK(s2.status());
+  ASSERT_OK_AND_ASSIGN(ExecResponse after, c2->Exec(s2->handle));
+  EXPECT_EQ(after.rows, before.rows);
+  auto read = c2->Prepare(kPointRead);
+  ASSERT_OK(read.status());
+  ASSERT_OK_AND_ASSIGN(ExecResponse tail,
+                       c2->Exec(read->handle, {Value::Str("tail")}));
+  ASSERT_EQ(tail.rows.size(), 1u);
+  EXPECT_EQ(tail.rows[0][0], Value::Double(9.0));
+  reborn->Stop();
 }
 
 // Protocol payload decoders are strict: truncation at every byte of a

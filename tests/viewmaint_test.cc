@@ -861,5 +861,158 @@ TEST_F(RuleGenTest, MergeRuleRejectsWrongLayout) {
             StatusCode::kInvalidArgument);
 }
 
+// ---------------------------------------------------------------------------
+// The generator indexes each view's key, so every generated statement that
+// addresses a view row by key is an index probe, never a view scan.
+// ---------------------------------------------------------------------------
+
+class ViewKeyIndexTest : public RuleGenTest {
+ protected:
+  /// The view table has an index on `key`, and every generated statement
+  /// that addresses a view row by key plans through it.
+  void ExpectKeyIndexed(const GeneratedRule& rule, const std::string& view,
+                        const std::string& key) {
+    ASSERT_OK_AND_ASSIGN(Table * t, db_.catalog().GetTable(view));
+    EXPECT_NE(t->FindIndex(key), nullptr) << view << "." << key;
+    ASSERT_FALSE(rule.key_statements.empty());
+    for (const PreparedStatementPtr& ps : rule.key_statements) {
+      ASSERT_OK_AND_ASSIGN(std::vector<std::string> notes, ps->PlanNotes());
+      ASSERT_FALSE(notes.empty()) << ps->sql();
+      EXPECT_NE(notes[0].find("index probe"), std::string::npos)
+          << ps->sql() << " -> " << notes[0];
+    }
+  }
+
+  /// px (fact) and members (dim) for the join-shaped views.
+  void JoinTables() {
+    ASSERT_OK(db_.ExecuteScript(R"(
+      create table px (sym string, price double);
+      create index on px (sym);
+      create table members (grp string, sym string, w double);
+      create index on members (sym);
+      insert into px values ('s1', 10.0), ('s2', 20.0);
+      insert into members values
+        ('g1', 's1', 0.5), ('g1', 's2', 0.5), ('g2', 's1', 1.0);
+    )"));
+  }
+};
+
+TEST_F(ViewKeyIndexTest, DirectStrategyIndexesGroupKey) {
+  ASSERT_OK(db_.ExecuteScript(R"(
+    create table sales (region string, amount double);
+    insert into sales values ('eu', 10.0), ('us', 20.0);
+    create materialized view rev as
+      select region, sum(amount) as total, avg(amount) as mean
+      from sales group by region;
+  )"));
+  ASSERT_OK_AND_ASSIGN(GeneratedRule rule,
+                       GenerateMaintenanceRule(db_, "rev", "sales", {}));
+  EXPECT_EQ(rule.strategy, "direct");
+  // update, AVG read, count check, erase.
+  EXPECT_EQ(rule.key_statements.size(), 4u);
+  ExpectKeyIndexed(rule, "rev", "region");
+
+  // The probes maintain the view exactly, including group creation and
+  // the zero-count erase.
+  ASSERT_OK(db_.Execute("insert into sales values ('ap', 7.0)").status());
+  ASSERT_OK(db_.Execute("delete from sales where region = 'eu'").status());
+  ASSERT_OK(db_.Execute("update sales set amount = 30.0 where region = 'us'")
+                .status());
+  Quiesce();
+  auto rs = db_.Execute("select region, total, mean from rev order by region");
+  ASSERT_OK(rs.status());
+  ASSERT_EQ(rs->num_rows(), 2u);
+  EXPECT_EQ(rs->rows[0][0].as_string(), "ap");
+  EXPECT_DOUBLE_EQ(rs->rows[0][1].as_double(), 7.0);
+  EXPECT_EQ(rs->rows[1][0].as_string(), "us");
+  EXPECT_DOUBLE_EQ(rs->rows[1][2].as_double(), 30.0);
+}
+
+TEST_F(ViewKeyIndexTest, DimProbeStrategyIndexesGroupKey) {
+  JoinTables();
+  ASSERT_OK(db_.Execute(R"(
+    create materialized view idx as
+      select grp, sum(px.price * w) as price
+      from px, members where px.sym = members.sym group by grp
+  )").status());
+  ASSERT_OK_AND_ASSIGN(GeneratedRule rule,
+                       GenerateMaintenanceRule(db_, "idx", "px", {}));
+  EXPECT_EQ(rule.strategy, "dim-probe");
+  ExpectKeyIndexed(rule, "idx", "grp");
+}
+
+TEST_F(ViewKeyIndexTest, JoinInConditionStrategyIndexesGroupKey) {
+  JoinTables();
+  // The fact-side residual predicate forces the join-in-condition path.
+  ASSERT_OK(db_.Execute(R"(
+    create materialized view idx as
+      select grp, sum(px.price * w) as price
+      from px, members where px.sym = members.sym and px.price > 0.0
+      group by grp
+  )").status());
+  ASSERT_OK_AND_ASSIGN(GeneratedRule rule,
+                       GenerateMaintenanceRule(db_, "idx", "px", {}));
+  EXPECT_EQ(rule.strategy, "join-in-condition");
+  ExpectKeyIndexed(rule, "idx", "grp");
+}
+
+TEST_F(ViewKeyIndexTest, ProjectionStrategyIndexesViewKey) {
+  ASSERT_OK(db_.ExecuteScript(R"(
+    create table base (sym string, x double);
+    create index on base (sym);
+    create table derived_keys (id string, sym string, k double);
+    create index on derived_keys (sym);
+    insert into base values ('s1', 3.0);
+    insert into derived_keys values ('d1', 's1', 2.0);
+    create materialized view squared as
+      select id, base.x * base.x + k as val
+      from base, derived_keys where base.sym = derived_keys.sym;
+  )"));
+  ASSERT_OK_AND_ASSIGN(GeneratedRule rule,
+                       GenerateMaintenanceRule(db_, "squared", "base", {}));
+  EXPECT_EQ(rule.strategy, "projection");
+  ASSERT_EQ(rule.key_statements.size(), 1u);
+  ExpectKeyIndexed(rule, "squared", "id");
+
+  ASSERT_OK(db_.Execute("update base set x = 5.0 where sym = 's1'").status());
+  Quiesce();
+  auto rs = db_.Execute("select val from squared where id = 'd1'");
+  ASSERT_OK(rs.status());
+  ASSERT_EQ(rs->num_rows(), 1u);
+  EXPECT_DOUBLE_EQ(rs->rows[0][0].as_double(), 27.0);
+}
+
+TEST_F(ViewKeyIndexTest, ExistingIndexIsReusedAndSurvivesHiddenCount) {
+  ASSERT_OK(db_.ExecuteScript(R"(
+    create table t (g string, v double);
+    insert into t values ('a', 1.0);
+    create materialized view agg as select g, sum(v) as s from t group by g;
+    create index on agg (g) using rbtree;
+  )"));
+  ASSERT_OK_AND_ASSIGN(GeneratedRule rule,
+                       GenerateMaintenanceRule(db_, "agg", "t", {}));
+  // EnableHiddenCount rebuilt the table (it now ends in _count) and
+  // carried the caller's own index over, kind included, instead of the
+  // generator adding a second one.
+  ASSERT_OK_AND_ASSIGN(Table * t, db_.catalog().GetTable("agg"));
+  EXPECT_GE(t->schema().FindColumn("_count"), 0);
+  ASSERT_NE(t->FindIndex("g"), nullptr);
+  EXPECT_EQ(t->FindIndex("g")->kind(), IndexKind::kRbTree);
+  ExpectKeyIndexed(rule, "agg", "g");
+}
+
+TEST_F(ViewKeyIndexTest, MergeRuleIndexesMergeViewKey) {
+  ASSERT_OK(db_.Execute("create table agg (g string, s double, _count int)")
+                .status());
+  ASSERT_OK(GenerateMergeRule(db_, "agg", MergeRuleOptions{}).status());
+  ASSERT_OK_AND_ASSIGN(Table * t, db_.catalog().GetTable("agg"));
+  EXPECT_NE(t->FindIndex("g"), nullptr);
+  ASSERT_OK_AND_ASSIGN(PreparedStatementPtr update,
+                       db_.Prepare("update agg set s += ?, _count += ? "
+                                   "where g = ?"));
+  ASSERT_OK_AND_ASSIGN(bool probes, update->UsesIndexProbe());
+  EXPECT_TRUE(probes);
+}
+
 }  // namespace
 }  // namespace strip

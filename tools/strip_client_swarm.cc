@@ -4,7 +4,8 @@
 // against the demo schema for S seconds, then (optionally) an overload
 // phase of low-priority feeders that the server's admission control should
 // shed. Emits BENCH_server.json (--out=...) with client-observed latency
-// percentiles, shed counts, and the server's full metrics registry.
+// percentiles, shed counts, wait-die abort counts, and the server's full
+// metrics registry.
 //
 //   strip_client_swarm --port=N [--clients=8] [--seconds=5] [--batch=8]
 //     [--symbols=64] [--feed-fraction=0.7] [--overload-clients=0]
@@ -32,6 +33,7 @@
 
 #include "pta_bench_common.h"
 #include "strip/net/client.h"
+#include "strip/net/protocol.h"
 
 namespace {
 
@@ -77,11 +79,27 @@ struct WorkerStats {
   uint64_t feed_batches = 0;
   uint64_t feed_records = 0;
   uint64_t execs = 0;
-  uint64_t shed = 0;        // kAborted responses (admission control)
+  uint64_t shed = 0;        // admission-control refusals (IsShedRefusal)
+  uint64_t aborted = 0;     // wait-die aborts: failed, not shed
   uint64_t refused = 0;     // sessions refused at Hello
   uint64_t errors = 0;      // everything else
   uint64_t last_lsn = 0;
 };
+
+/// Counts a failed reply: an admission-control refusal is shed, a wait-die
+/// abort (kAborted for any other reason) a failed request. Returns false
+/// for any other error, after which the worker stops.
+bool Tally(const Status& status, WorkerStats* out) {
+  if (strip::IsShedRefusal(status)) {
+    out->shed += 1;
+  } else if (status.code() == strip::StatusCode::kAborted) {
+    out->aborted += 1;
+  } else {
+    out->errors += 1;
+    return false;
+  }
+  return true;
+}
 
 /// Runs one client until the deadline. Low-priority overload workers feed
 /// only (the load the server is expected to shed); normal workers mix
@@ -133,24 +151,19 @@ void RunWorker(const Flags& flags, SessionPriority priority, int worker_id,
         out->feed_batches += 1;
         out->feed_records += batch.size();
         out->last_lsn = std::max(out->last_lsn, resp->lsn);
-      } else if (resp.status().code() == strip::StatusCode::kAborted) {
-        out->shed += 1;
-        continue;  // shed responses are not service latency
       } else {
-        out->errors += 1;
-        return;  // connection state unknown; stop this worker
+        // An unknown error leaves the connection state unknown: stop.
+        if (!Tally(resp.status(), out)) return;
+        continue;  // neither a refusal nor a failure is service latency
       }
     } else {
       auto resp = client->Exec(stmt->handle,
                                   {Value::Str(Symbol(sym(rng)))});
       if (resp.ok()) {
         out->execs += 1;
-      } else if (resp.status().code() == strip::StatusCode::kAborted) {
-        out->shed += 1;
-        continue;
       } else {
-        out->errors += 1;
-        return;
+        if (!Tally(resp.status(), out)) return;
+        continue;
       }
     }
     out->latencies_us.push_back(SteadyMicros() - start);
@@ -323,6 +336,7 @@ int main(int argc, char** argv) {
     total.feed_records += s.feed_records;
     total.execs += s.execs;
     total.shed += s.shed;
+    total.aborted += s.aborted;
     total.refused += s.refused;
     total.errors += s.errors;
     total.last_lsn = std::max(total.last_lsn, s.last_lsn);
@@ -332,6 +346,7 @@ int main(int argc, char** argv) {
     overload_shed += s.shed;
     overload_refused += s.refused;
     overload_ok += s.feed_batches;
+    total.aborted += s.aborted;
     total.errors += s.errors;
   }
   std::sort(lat.begin(), lat.end());
@@ -342,12 +357,13 @@ int main(int argc, char** argv) {
   std::printf(
       "ops %zu (feed %llu batches / %llu records, exec %llu)  "
       "p50 %.0fus p95 %.0fus p99 %.0fus  shed %llu refused %llu "
-      "errors %llu  last_lsn %llu\n",
+      "aborted %llu errors %llu  last_lsn %llu\n",
       lat.size(), static_cast<unsigned long long>(total.feed_batches),
       static_cast<unsigned long long>(total.feed_records),
       static_cast<unsigned long long>(total.execs), p50, p95, p99,
       static_cast<unsigned long long>(total.shed + overload_shed),
       static_cast<unsigned long long>(total.refused + overload_refused),
+      static_cast<unsigned long long>(total.aborted),
       static_cast<unsigned long long>(total.errors),
       static_cast<unsigned long long>(total.last_lsn));
   if (total.errors != 0) return 1;
@@ -386,6 +402,7 @@ int main(int argc, char** argv) {
     w.Key("feed_batches").Uint(total.feed_batches);
     w.Key("feed_records").Uint(total.feed_records);
     w.Key("execs").Uint(total.execs);
+    w.Key("aborted").Uint(total.aborted);
     w.Key("errors").Uint(total.errors);
     w.Key("p50_us").Double(p50);
     w.Key("p95_us").Double(p95);

@@ -235,8 +235,10 @@ def check_server(path, metrics):
     client = metrics.get("client")
     if not isinstance(client, dict):
         fail(path, "metrics missing 'client' object")
-    for field in ("ops", "feed_batches", "feed_records", "execs", "errors",
-                  "last_lsn"):
+    # `aborted` counts wait-die aborts: failed requests, kept apart from
+    # the admission-control refusals under `shed`.
+    for field in ("ops", "feed_batches", "feed_records", "execs", "aborted",
+                  "errors", "last_lsn"):
         v = client.get(field)
         if not isinstance(v, int) or v < 0:
             fail(path, f"client.{field} is not a non-negative int")
@@ -436,7 +438,8 @@ _GOOD_SERVER_BENCH = """{
   "name": "server", "repo_rev": "deadbeef", "config": {"clients": 2},
   "metrics": {
     "client": {"ops": 100, "feed_batches": 60, "feed_records": 480,
-               "execs": 40, "errors": 0, "p50_us": 900, "p95_us": 2000,
+               "execs": 40, "aborted": 0, "errors": 0, "p50_us": 900,
+               "p95_us": 2000,
                "p99_us": 3000, "last_lsn": 480},
     "shed": {"requests_shed": 3, "sessions_refused": 7,
              "overload_batches_admitted": 0, "exercised": true},
@@ -460,6 +463,7 @@ _BAD_SERVER_BENCHES = {
     "latency inversion": _GOOD_SERVER_BENCH.replace(
         '"p50_us": 900', '"p50_us": 9000'),
     "zero ops": _GOOD_SERVER_BENCH.replace('"ops": 100', '"ops": 0'),
+    "no aborted count": _GOOD_SERVER_BENCH.replace('"aborted": 0, ', ''),
     "negative feed records": _GOOD_SERVER_BENCH.replace(
         '"feed_records": 480', '"feed_records": -1'),
     "invalid health state": _GOOD_SERVER_BENCH.replace(
