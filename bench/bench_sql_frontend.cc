@@ -9,9 +9,6 @@
 //   prepared   one PreparedStatement handle, '?' params rebound per
 //              execution — frozen input set, index probe, slot-compiled
 //              programs
-//   prepared_interpreted  the same handle API with compiled expressions
-//              (and fast paths) disabled — isolates what compilation buys
-//              over per-execution interpretation
 //
 // Emits BENCH_sql_frontend.json with per-mode timings and the
 // prepared-vs-uncached speedup (the headline number for EXPERIMENTS.md
@@ -34,11 +31,10 @@ constexpr int kRows = 10000;
 constexpr int kWarmup = 2000;
 constexpr int kIters = 20000;
 
-std::unique_ptr<Database> MakeDb(bool plan_cache, bool compiled) {
+std::unique_ptr<Database> MakeDb(bool plan_cache) {
   Database::Options opts;
   opts.mode = ExecutorMode::kSimulated;
   opts.enable_plan_cache = plan_cache;
-  opts.enable_compiled_exprs = compiled;
   auto db = std::make_unique<Database>(opts);
   Status st = db->ExecuteScript(
       "create table t (k string, v double); create index on t (k)");
@@ -108,7 +104,7 @@ int main() {
 
   // --- update transaction, uncached textual SQL -------------------------
   {
-    auto db = MakeDb(/*plan_cache=*/false, /*compiled=*/true);
+    auto db = MakeDb(/*plan_cache=*/false);
     results.push_back(TimeMode("update_uncached", [&](int i) {
       return db->Execute(UpdateSql(i)).status();
     }));
@@ -116,7 +112,7 @@ int main() {
 
   // --- update transaction, textual SQL through the plan cache -----------
   {
-    auto db = MakeDb(/*plan_cache=*/true, /*compiled=*/true);
+    auto db = MakeDb(/*plan_cache=*/true);
     // A rotating set of 64 distinct statements: realistic hot-statement
     // reuse, far below cache capacity.
     std::vector<std::string> stmts;
@@ -128,7 +124,7 @@ int main() {
 
   // --- update transaction, prepared handle + params ----------------------
   {
-    auto db = MakeDb(/*plan_cache=*/true, /*compiled=*/true);
+    auto db = MakeDb(/*plan_cache=*/true);
     auto ps = db->Prepare("update t set v = ? where k = ?");
     if (!ps.ok()) std::abort();
     results.push_back(TimeMode("update_prepared", [&](int i) {
@@ -139,22 +135,9 @@ int main() {
     }));
   }
 
-  // --- update transaction, prepared handle, interpreter forced ----------
-  {
-    auto db = MakeDb(/*plan_cache=*/true, /*compiled=*/false);
-    auto ps = db->Prepare("update t set v = ? where k = ?");
-    if (!ps.ok()) std::abort();
-    results.push_back(TimeMode("update_prepared_interpreted", [&](int i) {
-      return (*ps)
-          ->Execute({Value::Double((i % 97) + 0.5),
-                     Value::Str("k" + std::to_string(i % kRows))})
-          .status();
-    }));
-  }
-
   // --- single-row SELECT, uncached vs prepared ---------------------------
   {
-    auto db = MakeDb(/*plan_cache=*/false, /*compiled=*/true);
+    auto db = MakeDb(/*plan_cache=*/false);
     results.push_back(TimeMode("select_uncached", [&](int i) {
       return CheckOneRow(db->Execute(
           "select v from t where k = 'k" + std::to_string(i % kRows) +
@@ -162,7 +145,7 @@ int main() {
     }));
   }
   {
-    auto db = MakeDb(/*plan_cache=*/true, /*compiled=*/true);
+    auto db = MakeDb(/*plan_cache=*/true);
     auto ps = db->Prepare("select v from t where k = ?");
     if (!ps.ok()) std::abort();
     results.push_back(TimeMode("select_prepared", [&](int i) {

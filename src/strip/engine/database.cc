@@ -27,7 +27,6 @@ Database::Database(Options options)
   deps.locks = &locks_;
   deps.scalar_funcs = &scalar_funcs_;
   deps.task_ids = &next_task_id_;
-  deps.disable_compiled_exprs = !options_.enable_compiled_exprs;
   deps.trace = trace_ring_.enabled() ? &trace_ring_ : nullptr;
   deps.action_runner = [this](TaskControlBlock& task) {
     return RunActionTask(task);
@@ -434,26 +433,14 @@ Result<ResultSet> Database::ExecuteStatement(Transaction* txn,
   ctx.rows_scanned = task != nullptr ? &task->rows_scanned : nullptr;
   ctx.funcs = &scalar_funcs_;
   ctx.params = params;
-  ctx.disable_compiled_exprs = !options_.enable_compiled_exprs;
   SqlExecutor executor(ctx);
 
   if (const auto* s = std::get_if<SelectStmt>(&stmt)) {
     STRIP_ASSIGN_OR_RETURN(TempTable t, executor.ExecuteSelect(*s));
     return t.Materialize();
   }
-  if (const auto* s = std::get_if<InsertStmt>(&stmt)) {
-    STRIP_ASSIGN_OR_RETURN(int n, executor.ExecuteInsert(*s));
-    return RowsAffected(n);
-  }
-  if (const auto* s = std::get_if<UpdateStmt>(&stmt)) {
-    STRIP_ASSIGN_OR_RETURN(int n, executor.ExecuteUpdate(*s));
-    return RowsAffected(n);
-  }
-  if (const auto* s = std::get_if<DeleteStmt>(&stmt)) {
-    STRIP_ASSIGN_OR_RETURN(int n, executor.ExecuteDelete(*s));
-    return RowsAffected(n);
-  }
-  return Status::Internal("unhandled statement kind");
+  STRIP_ASSIGN_OR_RETURN(int n, executor.ExecuteDml(stmt));
+  return RowsAffected(n);
 }
 
 Result<TempTable> Database::Query(Transaction* txn, const SelectStmt& stmt,
@@ -468,7 +455,6 @@ Result<TempTable> Database::Query(Transaction* txn, const SelectStmt& stmt,
   ctx.rows_scanned = task != nullptr ? &task->rows_scanned : nullptr;
   ctx.funcs = &scalar_funcs_;
   ctx.params = params;
-  ctx.disable_compiled_exprs = !options_.enable_compiled_exprs;
   SqlExecutor executor(ctx);
   return executor.ExecuteSelect(stmt);
 }
@@ -485,18 +471,8 @@ Result<int> Database::ExecuteDml(Transaction* txn, const Statement& stmt,
   ctx.rows_scanned = task != nullptr ? &task->rows_scanned : nullptr;
   ctx.funcs = &scalar_funcs_;
   ctx.params = &params;
-  ctx.disable_compiled_exprs = !options_.enable_compiled_exprs;
   SqlExecutor executor(ctx);
-  if (const auto* s = std::get_if<InsertStmt>(&stmt)) {
-    return executor.ExecuteInsert(*s);
-  }
-  if (const auto* s = std::get_if<UpdateStmt>(&stmt)) {
-    return executor.ExecuteUpdate(*s);
-  }
-  if (const auto* s = std::get_if<DeleteStmt>(&stmt)) {
-    return executor.ExecuteDelete(*s);
-  }
-  return Status::InvalidArgument("ExecuteDml takes INSERT/UPDATE/DELETE");
+  return executor.ExecuteDml(stmt);
 }
 
 Result<PreparedStatementPtr> Database::Prepare(const std::string& sql) {
@@ -582,7 +558,6 @@ Result<std::vector<std::string>> Database::Explain(const std::string& sql) {
   ctx.txn = txn;
   ctx.funcs = &scalar_funcs_;
   ctx.plan_trace = &trace;
-  ctx.disable_compiled_exprs = !options_.enable_compiled_exprs;
   SqlExecutor executor(ctx);
   auto result = executor.ExecuteSelect(*select);
   if (!result.ok()) {

@@ -67,12 +67,6 @@ class Database {
     /// statements skip the parser and reuse frozen plans.
     bool enable_plan_cache = true;
     size_t plan_cache_capacity = 256;
-    /// Evaluate expressions through slot-compiled postfix programs instead
-    /// of the tree-walking interpreter. Also gates the prepared fast
-    /// paths; disable to force fully interpreted execution (the
-    /// compiled-vs-interpreted equivalence tests and benchmarks toggle
-    /// this on one binary).
-    bool enable_compiled_exprs = true;
     /// Hot-path observability (src/strip/obs/): the lifecycle trace ring,
     /// task latency histograms, and per-rule staleness probes. Counters
     /// (always on) are single relaxed atomic increments; disabling this
@@ -143,10 +137,10 @@ class Database {
                           TaskControlBlock* task = nullptr,
                           const std::vector<Value>* params = nullptr);
 
-  /// Prepared-DML fast path: executes an UPDATE / INSERT / DELETE with
-  /// bound parameters, returning affected rows without building a
-  /// ResultSet. This is what rule-action functions call per maintained
-  /// tuple (the paper's user functions issue such updates, Figures 3-8).
+  /// Plans and runs an UPDATE / INSERT / DELETE with bound parameters,
+  /// returning affected rows without building a ResultSet. Rule actions
+  /// that repeat a statement should prepare it instead, which keeps the
+  /// plan.
   Result<int> ExecuteDml(Transaction* txn, const Statement& stmt,
                          const std::vector<Value>& params,
                          TaskControlBlock* task = nullptr);

@@ -23,13 +23,15 @@ class Database;
 /// for itself).
 ///
 /// What prepare freezes, per statement kind:
-///   - single-table DML: the Table*, the index probe (indexed `col = const`
-///     conjunct), and slot-compiled SET / WHERE / VALUES programs;
+///   - DML: a DmlPlan (sql/dml.h) — the Table*, the index probe, and
+///     slot-compiled SET / WHERE / VALUES programs — run by RunDml, the
+///     same executor textual DML uses. A statement that cannot be planned
+///     (no such table or column, INSERT arity) returns its planning error
+///     on every execution;
 ///   - SELECT whose FROM names all resolve in the catalog: the frozen
 ///     InputSet, the classified conjuncts, and slot-compiled programs for
 ///     every expression, fed to the executor's generic join machinery.
-/// Anything that does not fit falls back to the interpreted path with
-/// identical semantics (including errors), decided per execution.
+///     Any other SELECT binds its FROM afresh on each execution.
 ///
 /// DDL invalidation: every execution compares the plan's catalog generation
 /// stamp against the live counter and transparently re-resolves after any
@@ -61,8 +63,9 @@ class PreparedStatement {
                                  const std::vector<Value>& params = {},
                                  TaskControlBlock* task = nullptr);
 
-  /// DML fast path: affected rows without materializing a ResultSet. This
-  /// is the per-maintained-tuple call of the rule-action functions.
+  /// DML: affected rows without materializing a ResultSet. This is the
+  /// per-maintained-tuple call of the rule-action functions. `task`, when
+  /// non-null, is credited with the rows the access path read.
   Result<int> ExecuteDml(Transaction* txn,
                          const std::vector<Value>& params = {},
                          TaskControlBlock* task = nullptr);
@@ -96,15 +99,8 @@ class PreparedStatement {
   std::shared_ptr<const Plan> CurrentPlan();
 
   /// Re-resolves and re-compiles against the current catalog. Never fails:
-  /// statements that do not fit a fast path get a fallback plan that
-  /// delegates to the interpreted executor (preserving its exact errors).
+  /// a DML planning error is kept in the plan and returned on execution.
   std::shared_ptr<const Plan> BuildPlan();
-
-  /// `task`, when non-null, is credited with the rows the access path
-  /// read (index candidates or scanned rows) for per-rule cost counters.
-  Result<int> RunDmlFast(const Plan& plan, Transaction* txn,
-                         const std::vector<Value>& params,
-                         TaskControlBlock* task);
 
   Database* db_;
   std::string sql_;

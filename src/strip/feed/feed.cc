@@ -1,7 +1,6 @@
 #include "strip/feed/feed.h"
 
 #include "strip/common/string_util.h"
-#include "strip/sql/parser.h"
 
 namespace strip {
 
@@ -30,27 +29,26 @@ Result<std::unique_ptr<FeedImporter>> FeedImporter::Create(
     update_sql += schema.column(c).name + " = ?";
   }
   update_sql += " where " + schema.column(0).name + " = ?";
-  STRIP_ASSIGN_OR_RETURN(Statement update_stmt,
-                         Parser::ParseStatement(update_sql));
+  STRIP_ASSIGN_OR_RETURN(PreparedStatementPtr update, db->Prepare(update_sql));
 
   std::string insert_sql = "insert into " + table->name() + " values (";
   for (int c = 0; c < schema.num_columns(); ++c) {
     insert_sql += c > 0 ? ", ?" : "?";
   }
   insert_sql += ")";
-  STRIP_ASSIGN_OR_RETURN(Statement insert_stmt,
-                         Parser::ParseStatement(insert_sql));
+  STRIP_ASSIGN_OR_RETURN(PreparedStatementPtr insert, db->Prepare(insert_sql));
 
-  return std::unique_ptr<FeedImporter>(new FeedImporter(
-      db, table, std::move(update_stmt), std::move(insert_stmt)));
+  return std::unique_ptr<FeedImporter>(
+      new FeedImporter(db, table, std::move(update), std::move(insert)));
 }
 
-FeedImporter::FeedImporter(Database* db, Table* table, Statement update_stmt,
-                           Statement insert_stmt)
+FeedImporter::FeedImporter(Database* db, Table* table,
+                           PreparedStatementPtr update,
+                           PreparedStatementPtr insert)
     : db_(db),
       table_(table),
-      update_stmt_(std::move(update_stmt)),
-      insert_stmt_(std::move(insert_stmt)) {}
+      update_(std::move(update)),
+      insert_(std::move(insert)) {}
 
 Status FeedImporter::Apply(const FeedRecord& rec, TaskControlBlock* tcb) {
   // Feed upserts restart wait-die aborts under the engine's action-retry
@@ -72,11 +70,10 @@ Status FeedImporter::Apply(const FeedRecord& rec, TaskControlBlock* tcb) {
         std::vector<Value> update_params(rec.values.begin() + 1,
                                          rec.values.end());
         update_params.push_back(rec.values[0]);
-        STRIP_ASSIGN_OR_RETURN(
-            int n, db_->ExecuteDml(txn, update_stmt_, update_params));
+        STRIP_ASSIGN_OR_RETURN(int n,
+                               update_->ExecuteDml(txn, update_params));
         if (n == 0) {
-          STRIP_ASSIGN_OR_RETURN(
-              n, db_->ExecuteDml(txn, insert_stmt_, rec.values));
+          STRIP_ASSIGN_OR_RETURN(n, insert_->ExecuteDml(txn, rec.values));
         }
         if (n != 1) {
           return Status::Internal(StrFormat(

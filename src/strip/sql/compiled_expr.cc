@@ -15,6 +15,7 @@ struct ExprCompiler {
   const Schema* schema = nullptr;
   const std::map<std::string, Value>* pseudo = nullptr;
   const ScalarFuncRegistry* funcs = nullptr;
+  const std::vector<const Expr*>* aggs = nullptr;
 
   int32_t AddLiteral(Value v) {
     out->literals_.push_back(std::move(v));
@@ -30,7 +31,12 @@ struct ExprCompiler {
     return static_cast<int32_t>(out->ops_.size() - 1);
   }
 
-  Status EmitColumnRef(const Expr& expr) {
+  void EmitRaise(Status error) {
+    out->errors_.push_back(std::move(error));
+    Emit(ExprOpCode::kRaise, static_cast<int32_t>(out->errors_.size() - 1));
+  }
+
+  void EmitColumnRef(const Expr& expr) {
     if (inputs != nullptr) {
       auto acc = inputs->Resolve(expr.qualifier, expr.column);
       if (acc.ok()) {
@@ -41,138 +47,156 @@ struct ExprCompiler {
         } else {
           Emit(ExprOpCode::kPushSlot, in.slot, acc->column);
         }
-        return Status::OK();
+        return;
       }
-      return EmitPseudoOrFail(expr, acc.status());
+      EmitPseudoOrRaise(expr, acc.status());
+      return;
     }
     if (schema != nullptr) {
       if (expr.qualifier.empty() || expr.qualifier == *table_name) {
         int c = schema->FindColumn(expr.column);
         if (c >= 0) {
           Emit(ExprOpCode::kPushRecord, c);
-          return Status::OK();
+          return;
         }
       }
-      return EmitPseudoOrFail(
-          expr, Status::NotFound(StrFormat("unknown column '%s'",
-                                           expr.column.c_str())));
+      EmitRaise(Status::NotFound(
+          StrFormat("unknown column '%s'", expr.column.c_str())));
+      return;
     }
-    return Status::InvalidArgument(StrFormat(
-        "column '%s' referenced in a constant context", expr.column.c_str()));
+    EmitRaise(Status::InvalidArgument(StrFormat(
+        "column '%s' referenced in a constant context", expr.column.c_str())));
   }
 
-  Status EmitPseudoOrFail(const Expr& expr, Status resolve_error) {
+  void EmitPseudoOrRaise(const Expr& expr, Status resolve_error) {
     if (expr.qualifier.empty() && pseudo != nullptr &&
         pseudo->count(expr.column) > 0) {
       out->names_.push_back(expr.column);
       Emit(ExprOpCode::kPushPseudo,
            static_cast<int32_t>(out->names_.size() - 1));
-      return Status::OK();
+      return;
     }
-    return resolve_error;
+    EmitRaise(std::move(resolve_error));
   }
 
-  Status EmitExpr(const Expr& expr) {
+  void EmitExpr(const Expr& expr) {
     switch (expr.kind) {
       case ExprKind::kLiteral:
         Emit(ExprOpCode::kPushLiteral, AddLiteral(expr.literal));
-        return Status::OK();
+        return;
       case ExprKind::kParameter:
         if (expr.param_index < 0) {
-          return Status::InvalidArgument("negative parameter index");
+          EmitRaise(Status::InvalidArgument(StrFormat(
+              "unbound statement parameter ?%d", expr.param_index + 1)));
+          return;
         }
         Emit(ExprOpCode::kPushParam, expr.param_index);
-        return Status::OK();
+        return;
       case ExprKind::kColumnRef:
-        return EmitColumnRef(expr);
+        EmitColumnRef(expr);
+        return;
       case ExprKind::kBinary: {
         if (expr.bin_op == BinaryOp::kAnd || expr.bin_op == BinaryOp::kOr) {
           // lhs; JumpIf{False,True} end; rhs; ToBool; end:
-          STRIP_RETURN_IF_ERROR(EmitExpr(*expr.args[0]));
+          EmitExpr(*expr.args[0]);
           int32_t jump = Emit(expr.bin_op == BinaryOp::kAnd
                                   ? ExprOpCode::kJumpIfFalse
                                   : ExprOpCode::kJumpIfTrue);
-          STRIP_RETURN_IF_ERROR(EmitExpr(*expr.args[1]));
+          EmitExpr(*expr.args[1]);
           Emit(ExprOpCode::kToBool);
           out->ops_[static_cast<size_t>(jump)].a =
               static_cast<int32_t>(out->ops_.size());
-          return Status::OK();
+          return;
         }
-        STRIP_RETURN_IF_ERROR(EmitExpr(*expr.args[0]));
-        STRIP_RETURN_IF_ERROR(EmitExpr(*expr.args[1]));
+        EmitExpr(*expr.args[0]);
+        EmitExpr(*expr.args[1]);
         ExprOp op;
         op.code = ExprOpCode::kBinary;
         op.bin_op = expr.bin_op;
         out->ops_.push_back(op);
-        return Status::OK();
+        return;
       }
       case ExprKind::kUnary:
-        STRIP_RETURN_IF_ERROR(EmitExpr(*expr.args[0]));
+        EmitExpr(*expr.args[0]);
         Emit(expr.un_op == UnaryOp::kNot ? ExprOpCode::kNot
                                          : ExprOpCode::kNegate);
-        return Status::OK();
+        return;
       case ExprKind::kFuncCall: {
+        // The function resolves before its arguments are evaluated, so an
+        // unknown name fails without touching them.
         if (funcs == nullptr) {
-          return Status::InvalidArgument(StrFormat(
+          EmitRaise(Status::InvalidArgument(StrFormat(
               "no function registry for call to '%s'",
-              expr.func_name.c_str()));
+              expr.func_name.c_str())));
+          return;
         }
         const ScalarFunc* fn = funcs->Find(expr.func_name);
         if (fn == nullptr) {
-          return Status::NotFound(StrFormat("unknown function '%s'",
-                                            expr.func_name.c_str()));
+          EmitRaise(Status::NotFound(StrFormat("unknown function '%s'",
+                                               expr.func_name.c_str())));
+          return;
         }
-        for (const auto& a : expr.args) STRIP_RETURN_IF_ERROR(EmitExpr(*a));
+        for (const auto& a : expr.args) EmitExpr(*a);
         out->call_funcs_.push_back(fn);
         Emit(ExprOpCode::kCall,
              static_cast<int32_t>(out->call_funcs_.size() - 1),
              static_cast<int32_t>(expr.args.size()));
-        return Status::OK();
+        return;
       }
-      case ExprKind::kAggregate:
-        return Status::Unimplemented(StrFormat(
-            "aggregate %s() cannot be compiled", expr.func_name.c_str()));
+      case ExprKind::kAggregate: {
+        if (aggs != nullptr) {
+          for (size_t i = 0; i < aggs->size(); ++i) {
+            if ((*aggs)[i] == &expr) {
+              Emit(ExprOpCode::kPushAgg, static_cast<int32_t>(i));
+              return;
+            }
+          }
+        }
+        EmitRaise(Status::InvalidArgument(StrFormat(
+            "aggregate %s() outside of a select list",
+            expr.func_name.c_str())));
+        return;
+      }
     }
-    return Status::Internal("unexpected expression kind");
+    EmitRaise(Status::Internal("unexpected expression kind"));
   }
 };
 
 namespace {
 
-Result<CompiledExpr> RunCompiler(const Expr& expr, ExprCompiler compiler) {
+CompiledExpr RunCompiler(const Expr& expr, ExprCompiler compiler) {
   CompiledExpr compiled;
   compiler.out = &compiled;
-  STRIP_RETURN_IF_ERROR(compiler.EmitExpr(expr));
+  compiler.EmitExpr(expr);
   return compiled;
 }
 
 }  // namespace
 
-Result<CompiledExpr> CompiledExpr::Compile(
-    const Expr& expr, const InputSet& inputs,
-    const std::map<std::string, Value>* pseudo,
-    const ScalarFuncRegistry* funcs) {
+CompiledExpr CompiledExpr::Compile(const Expr& expr, const InputSet& inputs,
+                                   const std::map<std::string, Value>* pseudo,
+                                   const ScalarFuncRegistry* funcs,
+                                   const std::vector<const Expr*>* aggs) {
   ExprCompiler c;
   c.inputs = &inputs;
   c.pseudo = pseudo;
   c.funcs = funcs;
+  c.aggs = aggs;
   return RunCompiler(expr, c);
 }
 
-Result<CompiledExpr> CompiledExpr::CompileSingleTable(
+CompiledExpr CompiledExpr::CompileSingleTable(
     const Expr& expr, const std::string& table_name, const Schema& schema,
-    const std::map<std::string, Value>* pseudo,
     const ScalarFuncRegistry* funcs) {
   ExprCompiler c;
   c.table_name = &table_name;
   c.schema = &schema;
-  c.pseudo = pseudo;
   c.funcs = funcs;
   return RunCompiler(expr, c);
 }
 
-Result<CompiledExpr> CompiledExpr::CompileConstant(
-    const Expr& expr, const ScalarFuncRegistry* funcs) {
+CompiledExpr CompiledExpr::CompileConstant(const Expr& expr,
+                                           const ScalarFuncRegistry* funcs) {
   ExprCompiler c;
   c.funcs = funcs;
   return RunCompiler(expr, c);
@@ -200,7 +224,11 @@ Result<Value> CompiledExpr::Eval(EvalFrame& frame) const {
       case ExprOpCode::kPushSlot: {
         const RecordRef& rec = frame.row->slots[static_cast<size_t>(op.a)];
         if (rec == nullptr) {
-          return Status::Internal("compiled read of an unjoined input slot");
+          if (!frame.null_columns) {
+            return Status::Internal("compiled read of an unjoined input slot");
+          }
+          st.emplace_back();
+          break;
         }
         st.push_back(rec->values[static_cast<size_t>(op.b)]);
         break;
@@ -212,6 +240,10 @@ Result<Value> CompiledExpr::Eval(EvalFrame& frame) const {
         st.push_back(frame.rec->values[static_cast<size_t>(op.a)]);
         break;
       case ExprOpCode::kPushPseudo: {
+        if (frame.null_columns) {
+          st.emplace_back();
+          break;
+        }
         const std::string& name = names_[static_cast<size_t>(op.a)];
         if (frame.pseudo != nullptr) {
           auto it = frame.pseudo->find(name);
@@ -223,6 +255,9 @@ Result<Value> CompiledExpr::Eval(EvalFrame& frame) const {
         return Status::NotFound(
             StrFormat("unknown column '%s'", name.c_str()));
       }
+      case ExprOpCode::kPushAgg:
+        st.push_back((*frame.aggs)[static_cast<size_t>(op.a)]);
+        break;
       case ExprOpCode::kBinary: {
         STRIP_ASSIGN_OR_RETURN(
             Value v, EvalBinaryOp(op.bin_op, st[st.size() - 2], st.back()));
@@ -282,6 +317,8 @@ Result<Value> CompiledExpr::Eval(EvalFrame& frame) const {
       case ExprOpCode::kToBool:
         st.back() = Value::Bool(st.back().IsTruthy());
         break;
+      case ExprOpCode::kRaise:
+        return errors_[static_cast<size_t>(op.a)];
     }
     ++pc;
   }

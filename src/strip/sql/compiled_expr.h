@@ -24,6 +24,12 @@ struct EvalFrame {
   const Record* rec = nullptr;    // single-table-mode programs read values
   const std::vector<Value>* params = nullptr;
   const std::map<std::string, Value>* pseudo = nullptr;
+  /// Finalized aggregate values of the current group, addressed by the
+  /// aggregate list the program was compiled against.
+  const std::vector<Value>* aggs = nullptr;
+  /// The empty global aggregate group has no representative row: its
+  /// unjoined slots and pseudo columns read as null instead of failing.
+  bool null_columns = false;
   std::vector<Value> stack;
   std::vector<Value> call_args;
 };
@@ -35,6 +41,7 @@ enum class ExprOpCode : uint8_t {
   kPushExtra,    // push row->extras[a]               (join mode)
   kPushRecord,   // push rec->values[a]               (single-table mode)
   kPushPseudo,   // push pseudo lookup of names[a]
+  kPushAgg,      // push (*aggs)[a]
   kBinary,       // pop rhs, lhs; push EvalBinaryOp(bin_op, lhs, rhs)
   kNegate,       // pop v; push -v (null propagates)
   kNot,          // pop v; push Bool(!truthy)
@@ -42,6 +49,7 @@ enum class ExprOpCode : uint8_t {
   kJumpIfFalse,  // pop v; if !truthy: push Bool(false), jump to a
   kJumpIfTrue,   // pop v; if truthy: push Bool(true), jump to a
   kToBool,       // pop v; push Bool(truthy)
+  kRaise,        // fail with errors[a]
 };
 
 struct ExprOp {
@@ -54,35 +62,36 @@ struct ExprOp {
 /// An Expr tree flattened into a postfix program over a value stack, with
 /// every column reference resolved to a slot/offset at compile time —
 /// evaluation performs no name hashing, no string lowering, and (after
-/// frame warmup) no allocation. AND/OR short-circuit via jump opcodes with
-/// the interpreter's exact semantics (left operand first, Bool result).
+/// frame warmup) no allocation. AND/OR short-circuit via jump opcodes (left
+/// operand first, Bool result); nulls propagate through arithmetic and
+/// comparisons and are falsey under AND/OR/NOT (two-valued logic).
 ///
-/// Compilation is best-effort: any construct whose resolution could differ
-/// from the interpreter's lazy behavior (unresolvable columns, unknown
-/// functions, aggregates) fails to compile, and the caller falls back to
-/// EvalExpr. A compiled program therefore always produces the same value or
-/// error the interpreter would.
+/// Compilation is total: a construct that cannot be resolved (an unknown or
+/// ambiguous column, an unknown function, a missing registry, a column in a
+/// constant context, an aggregate outside an aggregate list) compiles to a
+/// raise op carrying its Status. The error surfaces only when evaluation
+/// reaches the op, so `1 = 0 and bogus = 1` is false, not an error.
 class CompiledExpr {
  public:
-  /// Join-row mode: columns resolve through `inputs` exactly like
-  /// JoinRowContext (inputs first, then pseudo for bare names).
-  static Result<CompiledExpr> Compile(
-      const Expr& expr, const InputSet& inputs,
-      const std::map<std::string, Value>* pseudo,
-      const ScalarFuncRegistry* funcs);
+  /// Join-row mode: columns resolve through `inputs` (inputs first, then
+  /// `pseudo` for bare names). Aggregate nodes listed in `aggs` read the
+  /// frame's finalized group values by their position in the list.
+  static CompiledExpr Compile(const Expr& expr, const InputSet& inputs,
+                              const std::map<std::string, Value>* pseudo,
+                              const ScalarFuncRegistry* funcs,
+                              const std::vector<const Expr*>* aggs = nullptr);
 
-  /// Single-table mode: columns resolve against one record's schema exactly
-  /// like the UPDATE/DELETE row context (qualifier empty or == table name,
-  /// then pseudo).
-  static Result<CompiledExpr> CompileSingleTable(
-      const Expr& expr, const std::string& table_name, const Schema& schema,
-      const std::map<std::string, Value>* pseudo,
-      const ScalarFuncRegistry* funcs);
+  /// Single-table mode: columns resolve against one record's schema
+  /// (qualifier empty or == table name).
+  static CompiledExpr CompileSingleTable(const Expr& expr,
+                                         const std::string& table_name,
+                                         const Schema& schema,
+                                         const ScalarFuncRegistry* funcs);
 
-  /// Constant mode: no column references allowed (INSERT values, index
-  /// probe keys). Parameters and function calls are fine.
-  static Result<CompiledExpr> CompileConstant(const Expr& expr,
-                                              const ScalarFuncRegistry* funcs);
+  /// Constant mode: every column reference raises (INSERT values).
+  /// Parameters and function calls are fine.
+  static CompiledExpr CompileConstant(const Expr& expr,
+                                      const ScalarFuncRegistry* funcs);
 
   /// Runs the program against the frame's current row / record / params.
   Result<Value> Eval(EvalFrame& frame) const;
@@ -96,6 +105,7 @@ class CompiledExpr {
   std::vector<Value> literals_;
   std::vector<const ScalarFunc*> call_funcs_;  // stable: registry is a map
   std::vector<std::string> names_;             // pseudo-column names
+  std::vector<Status> errors_;                 // raise-op payloads
 };
 
 }  // namespace strip

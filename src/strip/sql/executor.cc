@@ -6,61 +6,11 @@
 
 #include "strip/common/logging.h"
 #include "strip/common/string_util.h"
+#include "strip/sql/dml.h"
 
 namespace strip {
 
 namespace {
-
-/// RowContext over a single table record (UPDATE / DELETE row filtering).
-class SingleTableRowContext final : public RowContext {
- public:
-  SingleTableRowContext(const std::string& table_name, const Schema* schema,
-                        const std::map<std::string, Value>* pseudo)
-      : table_name_(table_name), schema_(schema), pseudo_(pseudo) {}
-
-  void set_record(const Record* rec) { rec_ = rec; }
-
-  Result<Value> GetColumn(const std::string& qualifier,
-                          const std::string& column) const override {
-    if (qualifier.empty() || qualifier == table_name_) {
-      int c = schema_->FindColumn(column);
-      if (c >= 0) return rec_->values[static_cast<size_t>(c)];
-    }
-    if (qualifier.empty() && pseudo_ != nullptr) {
-      auto it = pseudo_->find(column);
-      if (it != pseudo_->end()) return it->second;
-    }
-    return Status::NotFound(StrFormat("unknown column '%s'", column.c_str()));
-  }
-
- private:
-  // By value: callers may pass a temporary name, and the context outlives
-  // the full expression in which it was constructed.
-  const std::string table_name_;
-  const Schema* schema_;
-  const std::map<std::string, Value>* pseudo_;
-  const Record* rec_ = nullptr;
-};
-
-/// RowContext that resolves every column to null (empty aggregate groups).
-class NullRowContext final : public RowContext {
- public:
-  Result<Value> GetColumn(const std::string&,
-                          const std::string&) const override {
-    return Value::Null();
-  }
-};
-
-/// True iff `expr` contains no column references (after pseudo columns are
-/// accounted as constants they still count as non-column here only if they
-/// are resolvable; we treat any colref as non-constant for safety except
-/// pseudo ones).
-bool IsConstantExpr(const Expr& expr, const InputSet& inputs,
-                    const std::map<std::string, Value>* pseudo) {
-  std::vector<int> refs;
-  Status st = CollectReferencedInputs(expr, inputs, pseudo, refs);
-  return st.ok() && refs.empty();
-}
 
 /// Result type inference for output schemas. Types are advisory for temp
 /// tables (used when materializing into standard tables).
@@ -113,15 +63,6 @@ ValueType InferExprType(const Expr& expr, const InputSet& inputs) {
   return ValueType::kDouble;
 }
 
-/// Collects pointers to every aggregate node in `expr`.
-void CollectAggregates(const Expr& expr, std::vector<const Expr*>& out) {
-  if (expr.kind == ExprKind::kAggregate) {
-    out.push_back(&expr);
-    return;  // nested aggregates are rejected at evaluation time
-  }
-  for (const auto& a : expr.args) CollectAggregates(*a, out);
-}
-
 /// Streaming accumulator for one aggregate call within one group.
 struct AggState {
   int64_t count = 0;          // non-null inputs seen (rows for count(*))
@@ -168,55 +109,6 @@ struct AggState {
     return extremum;  // min / max
   }
 };
-
-/// Evaluates an expression in which aggregate nodes take pre-computed
-/// values from `agg_values` (keyed by node pointer).
-Result<Value> EvalWithAggregates(
-    const Expr& expr, const RowContext& ctx,
-    const std::unordered_map<const Expr*, Value>& agg_values,
-    const ScalarFuncRegistry* funcs, const std::vector<Value>* params) {
-  auto it = agg_values.find(&expr);
-  if (it != agg_values.end()) return it->second;
-  if (!expr.ContainsAggregate()) return EvalExpr(expr, &ctx, funcs, params);
-  switch (expr.kind) {
-    case ExprKind::kBinary: {
-      STRIP_ASSIGN_OR_RETURN(
-          Value l, EvalWithAggregates(*expr.args[0], ctx, agg_values, funcs, params));
-      STRIP_ASSIGN_OR_RETURN(
-          Value r, EvalWithAggregates(*expr.args[1], ctx, agg_values, funcs, params));
-      return EvalBinaryOp(expr.bin_op, l, r);
-    }
-    case ExprKind::kUnary: {
-      STRIP_ASSIGN_OR_RETURN(
-          Value v, EvalWithAggregates(*expr.args[0], ctx, agg_values, funcs, params));
-      if (expr.un_op == UnaryOp::kNot) return Value::Bool(!v.IsTruthy());
-      if (v.is_null()) return Value::Null();
-      if (v.type() == ValueType::kInt) return Value::Int(-v.as_int());
-      return Value::Double(-v.as_double());
-    }
-    case ExprKind::kFuncCall: {
-      if (funcs == nullptr) {
-        return Status::InvalidArgument("no function registry");
-      }
-      const ScalarFunc* fn = funcs->Find(expr.func_name);
-      if (fn == nullptr) {
-        return Status::NotFound(
-            StrFormat("unknown function '%s'", expr.func_name.c_str()));
-      }
-      std::vector<Value> args;
-      for (const auto& a : expr.args) {
-        STRIP_ASSIGN_OR_RETURN(
-            Value v, EvalWithAggregates(*a, ctx, agg_values, funcs, params));
-        args.push_back(std::move(v));
-      }
-      return (*fn)(args);
-    }
-    case ExprKind::kAggregate:
-      return Status::InvalidArgument("nested aggregate calls");
-    default:
-      return Status::Internal("unexpected aggregate expression shape");
-  }
-}
 
 }  // namespace
 
@@ -266,38 +158,27 @@ Status SqlExecutor::LockTable(Table* table, LockMode mode) {
   return ctx_.locks->Acquire(ctx_.txn, LockKey::WholeTable(table), mode);
 }
 
+const CompiledExpr& SqlExecutor::Program(
+    const Expr& expr, const InputSet& inputs,
+    const std::vector<const Expr*>* aggs) {
+  if (ctx_.precompiled != nullptr) {
+    auto it = ctx_.precompiled->find(&expr);
+    if (it != ctx_.precompiled->end()) return it->second;
+  }
+  auto it = compiled_.find(&expr);
+  if (it == compiled_.end()) {
+    it = compiled_
+             .emplace(&expr, CompiledExpr::Compile(expr, inputs, ctx_.pseudo,
+                                                   ctx_.funcs, aggs))
+             .first;
+  }
+  return it->second;
+}
+
 Result<Value> SqlExecutor::Eval(const Expr& expr, const InputSet& inputs,
                                 const JoinRow& row) {
-  if (!ctx_.disable_compiled_exprs) {
-    const CompiledExpr* prog = nullptr;
-    if (ctx_.precompiled != nullptr) {
-      auto it = ctx_.precompiled->find(&expr);
-      if (it != ctx_.precompiled->end()) prog = &it->second;
-    }
-    if (prog == nullptr && interpret_only_.count(&expr) == 0) {
-      auto it = compiled_.find(&expr);
-      if (it == compiled_.end()) {
-        auto c = CompiledExpr::Compile(expr, inputs, ctx_.pseudo, ctx_.funcs);
-        if (c.ok()) {
-          it = compiled_.emplace(&expr, std::move(*c)).first;
-        } else {
-          // Unresolvable / uncompilable: the interpreter preserves lazy
-          // error semantics (e.g. a bogus column behind a short-circuit).
-          interpret_only_.insert(&expr);
-        }
-      }
-      if (it != compiled_.end()) prog = &it->second;
-    }
-    if (prog != nullptr) {
-      frame_.row = &row;
-      frame_.rec = nullptr;
-      frame_.params = ctx_.params;
-      frame_.pseudo = ctx_.pseudo;
-      return prog->Eval(frame_);
-    }
-  }
-  JoinRowContext ctx(&inputs, &row, ctx_.pseudo);
-  return EvalExpr(expr, &ctx, ctx_.funcs, ctx_.params);
+  frame_.row = &row;
+  return Program(expr, inputs).Eval(frame_);
 }
 
 Status SqlExecutor::ScanInput(
@@ -305,29 +186,15 @@ Status SqlExecutor::ScanInput(
     const std::function<Status(const ScanItem&)>& emit) {
   const BoundInput& in = inputs.inputs()[static_cast<size_t>(input)];
 
-  // Probe for an indexable `col = const` filter on a standard table.
-  const Index* index = nullptr;
+  const IndexProbe access = FindIndexProbe(inputs, input, filters,
+                                           ctx_.pseudo);
+  const Index* index = access.index;
   Value index_key;
-  if (in.table != nullptr) {
-    for (const Expr* f : filters) {
-      if (f->kind != ExprKind::kBinary || f->bin_op != BinaryOp::kEq) continue;
-      for (int side = 0; side < 2 && index == nullptr; ++side) {
-        const Expr& col_side = *f->args[static_cast<size_t>(side)];
-        const Expr& const_side = *f->args[static_cast<size_t>(1 - side)];
-        if (col_side.kind != ExprKind::kColumnRef) continue;
-        auto acc = inputs.Resolve(col_side.qualifier, col_side.column);
-        if (!acc.ok() || acc->input != input) continue;
-        if (!IsConstantExpr(const_side, inputs, ctx_.pseudo)) continue;
-        Index* idx = in.table->FindIndexByPosition(acc->column);
-        if (idx == nullptr) continue;
-        JoinRow empty;  // constant side references no inputs
-        empty.slots.resize(static_cast<size_t>(inputs.num_slots()));
-        empty.extras.resize(static_cast<size_t>(inputs.num_extras()));
-        STRIP_ASSIGN_OR_RETURN(index_key, Eval(const_side, inputs, empty));
-        index = idx;
-      }
-      if (index != nullptr) break;
-    }
+  if (index != nullptr) {
+    JoinRow empty;  // the key references no input
+    empty.slots.resize(static_cast<size_t>(inputs.num_slots()));
+    empty.extras.resize(static_cast<size_t>(inputs.num_extras()));
+    STRIP_ASSIGN_OR_RETURN(index_key, Eval(*access.key, inputs, empty));
   }
 
   JoinRow probe;
@@ -398,39 +265,22 @@ Result<std::vector<JoinRow>> SqlExecutor::RunJoin(
     const InputSet& inputs, const std::vector<Conjunct>& conjuncts) {
   const int n = static_cast<int>(inputs.inputs().size());
 
-  // Partition conjuncts: per-input filters, equi-joins, residual.
-  std::vector<std::vector<const Expr*>> input_filters(
-      static_cast<size_t>(n));
-  std::vector<const Conjunct*> joins;     // multi-input
+  // Partition conjuncts: per-input filters, then multi-input joins.
+  const std::vector<std::vector<const Expr*>> input_filters =
+      ScanFilters(inputs, conjuncts);
+  std::vector<const Conjunct*> joins;
   for (const Conjunct& c : conjuncts) {
-    if (c.referenced.size() <= 1) {
-      int target = c.referenced.empty() ? 0 : c.referenced[0];
-      input_filters[static_cast<size_t>(target)].push_back(c.expr);
-    } else {
-      joins.push_back(&c);
-    }
+    if (c.referenced.size() > 1) joins.push_back(&c);
   }
 
-  // Effective input size: tiny when an indexed equality pins the scan.
+  // Effective input size: one row when ScanInput will probe an index.
   auto effective_size = [&](int i) -> size_t {
-    const BoundInput& in = inputs.inputs()[static_cast<size_t>(i)];
-    size_t sz = in.EstimatedRows();
-    if (in.table != nullptr) {
-      for (const Expr* f : input_filters[static_cast<size_t>(i)]) {
-        if (f->kind == ExprKind::kBinary && f->bin_op == BinaryOp::kEq) {
-          for (int side = 0; side < 2; ++side) {
-            const Expr& cs = *f->args[static_cast<size_t>(side)];
-            if (cs.kind != ExprKind::kColumnRef) continue;
-            auto acc = inputs.Resolve(cs.qualifier, cs.column);
-            if (acc.ok() && acc->input == i &&
-                in.table->FindIndexByPosition(acc->column) != nullptr) {
-              return 1;
-            }
-          }
-        }
-      }
+    if (FindIndexProbe(inputs, i, input_filters[static_cast<size_t>(i)],
+                       ctx_.pseudo)
+            .index != nullptr) {
+      return 1;
     }
-    return sz;
+    return inputs.inputs()[static_cast<size_t>(i)].EstimatedRows();
   };
 
   // Pick the starting input: the smallest.
@@ -716,7 +566,10 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
   // Programs cached in earlier executions carry slot positions for a
   // different InputSet; drop them before touching this one.
   compiled_.clear();
-  interpret_only_.clear();
+  frame_.params = ctx_.params;
+  frame_.pseudo = ctx_.pseudo;
+  frame_.aggs = nullptr;
+  frame_.null_columns = false;
 
   // Locks are per-execution, never part of a frozen plan: re-acquire shared
   // locks on every standard input (a no-op when BindFrom just did).
@@ -779,12 +632,8 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
     }
   }
 
-  bool has_aggregates = !stmt.group_by.empty();
-  for (const SelectItem& item : *items) {
-    if (item.expr->ContainsAggregate()) has_aggregates = true;
-  }
+  const bool has_aggregates = IsAggregateQuery(stmt, *items);
   if (stmt.having != nullptr) {
-    if (stmt.having->ContainsAggregate()) has_aggregates = true;
     if (!has_aggregates) {
       return Status::InvalidArgument("HAVING requires aggregation");
     }
@@ -800,7 +649,6 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
                          InferExprType(*(*items)[i].expr, inputs));
   }
 
-  std::vector<std::vector<Value>> out_rows;       // aggregate path
   std::vector<size_t> row_order;                  // non-agg: index into rows
   TempTable result = TempTable::Materialized(output_name, out_schema);
 
@@ -809,14 +657,7 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
                     stmt.group_by.size(),
                     stmt.having != nullptr ? ", having filter" : ""));
     // ---- hash aggregation ----
-    std::vector<const Expr*> agg_nodes;
-    for (const SelectItem& item : *items) {
-      CollectAggregates(*item.expr, agg_nodes);
-    }
-    for (const auto& ob : stmt.order_by) {
-      CollectAggregates(*ob.expr, agg_nodes);
-    }
-    if (stmt.having != nullptr) CollectAggregates(*stmt.having, agg_nodes);
+    const std::vector<const Expr*> agg_nodes = CollectAggregates(stmt, *items);
     struct Group {
       size_t representative;
       std::vector<AggState> states;
@@ -857,7 +698,16 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
       groups.emplace(std::vector<Value>{}, std::move(g));
     }
 
-    NullRowContext null_ctx;
+    // Items, HAVING and order keys read each group's finalized aggregates
+    // through the frame; the empty global group reads its columns as null.
+    JoinRow null_row;
+    null_row.slots.resize(static_cast<size_t>(inputs.num_slots()));
+    null_row.extras.resize(static_cast<size_t>(inputs.num_extras()));
+    std::vector<Value> agg_values(agg_nodes.size());
+    frame_.aggs = &agg_values;
+    auto eval_group = [&](const Expr& e) {
+      return Program(e, inputs, &agg_nodes).Eval(frame_);
+    };
     struct OutRow {
       std::vector<Value> values;
       std::vector<Value> sort_keys;
@@ -865,31 +715,20 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
     std::vector<OutRow> produced;
     produced.reserve(groups.size());
     for (auto& [key, group] : groups) {
-      std::unordered_map<const Expr*, Value> agg_values;
       for (size_t a = 0; a < agg_nodes.size(); ++a) {
-        agg_values[agg_nodes[a]] = group.states[a].Finalize(*agg_nodes[a]);
+        agg_values[a] = group.states[a].Finalize(*agg_nodes[a]);
       }
-      JoinRowContext row_ctx(&inputs,
-                             group.representative == SIZE_MAX
-                                 ? nullptr
-                                 : &rows[group.representative],
-                             ctx_.pseudo);
-      const RowContext& ctx =
-          group.representative == SIZE_MAX
-              ? static_cast<const RowContext&>(null_ctx)
-              : static_cast<const RowContext&>(row_ctx);
+      frame_.null_columns = group.representative == SIZE_MAX;
+      frame_.row =
+          frame_.null_columns ? &null_row : &rows[group.representative];
       if (stmt.having != nullptr) {
-        STRIP_ASSIGN_OR_RETURN(
-            Value keep, EvalWithAggregates(*stmt.having, ctx, agg_values,
-                                           ctx_.funcs, ctx_.params));
+        STRIP_ASSIGN_OR_RETURN(Value keep, eval_group(*stmt.having));
         if (!keep.IsTruthy()) continue;
       }
       OutRow out;
       out.values.reserve(items->size());
       for (const SelectItem& item : *items) {
-        STRIP_ASSIGN_OR_RETURN(
-            Value v, EvalWithAggregates(*item.expr, ctx, agg_values,
-                                        ctx_.funcs, ctx_.params));
+        STRIP_ASSIGN_OR_RETURN(Value v, eval_group(*item.expr));
         out.values.push_back(std::move(v));
       }
       for (const auto& ob : stmt.order_by) {
@@ -901,10 +740,7 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
               out.values[static_cast<size_t>(
                   out_schema.FindColumn(ob.expr->column))]);
         } else {
-          STRIP_ASSIGN_OR_RETURN(
-              Value v,
-              EvalWithAggregates(*ob.expr, ctx, agg_values, ctx_.funcs,
-                                 ctx_.params));
+          STRIP_ASSIGN_OR_RETURN(Value v, eval_group(*ob.expr));
           out.sort_keys.push_back(std::move(v));
         }
       }
@@ -1068,185 +904,13 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
 // DML
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Rows of `table` matching `where`, using an indexed `col = const` probe
-/// when available. `funcs` / `pseudo` as in the executor context.
-Result<std::vector<RowHandle>> CollectMatchingRows(
-    Table* table, const Expr* where, const ScalarFuncRegistry* funcs,
-    const std::map<std::string, Value>* pseudo,
-    const std::vector<Value>* params, uint64_t* rows_scanned = nullptr) {
-  std::vector<RowHandle> out;
-  SingleTableRowContext ctx(table->name(), &table->schema(), pseudo);
-
-  // Try `col = const` probe over the conjuncts.
-  std::vector<const Expr*> conjuncts;
-  SplitConjuncts(where, conjuncts);
-  Index* index = nullptr;
-  Value key;
-  for (const Expr* f : conjuncts) {
-    if (f->kind != ExprKind::kBinary || f->bin_op != BinaryOp::kEq) continue;
-    for (int side = 0; side < 2 && index == nullptr; ++side) {
-      const Expr& col_side = *f->args[static_cast<size_t>(side)];
-      const Expr& const_side = *f->args[static_cast<size_t>(1 - side)];
-      if (col_side.kind != ExprKind::kColumnRef) continue;
-      if (!col_side.qualifier.empty() && col_side.qualifier != table->name()) {
-        continue;
-      }
-      int c = table->schema().FindColumn(col_side.column);
-      if (c < 0) continue;
-      Index* idx = table->FindIndexByPosition(c);
-      if (idx == nullptr) continue;
-      // The other side must be constant (no column references).
-      auto probe = EvalExpr(const_side, nullptr, funcs, params);
-      if (!probe.ok()) continue;
-      key = probe.take();
-      index = idx;
-    }
-    if (index != nullptr) break;
-  }
-
-  auto matches = [&](const RecordRef& rec) -> Result<bool> {
-    if (where == nullptr) return true;
-    ctx.set_record(rec.get());
-    STRIP_ASSIGN_OR_RETURN(Value v, EvalExpr(*where, &ctx, funcs, params));
-    return v.IsTruthy();
-  };
-
-  if (index != nullptr) {
-    std::vector<RowHandle> candidates;
-    index->Lookup(key, candidates);
-    if (rows_scanned != nullptr) *rows_scanned += candidates.size();
-    for (RowHandle r : candidates) {
-      STRIP_ASSIGN_OR_RETURN(bool ok, matches(r->rec));
-      if (ok) out.push_back(r);
-    }
-    return out;
-  }
-  PageManager::ScanPos pos;
-  ScanBatch batch;
-  while (table->NextBatch(pos, batch)) {
-    if (rows_scanned != nullptr) *rows_scanned += batch.count;
-    for (size_t i = 0; i < batch.count; ++i) {
-      STRIP_ASSIGN_OR_RETURN(bool ok, matches(batch.rows[i]->rec));
-      if (ok) out.push_back(batch.rows[i]);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-Result<int> SqlExecutor::ExecuteInsert(const InsertStmt& stmt) {
+Result<int> SqlExecutor::ExecuteDml(const Statement& stmt) {
   if (ctx_.catalog == nullptr) {
     return Status::FailedPrecondition("no catalog");
   }
-  if (ctx_.txn == nullptr) {
-    return Status::FailedPrecondition("INSERT requires a transaction");
-  }
-  STRIP_ASSIGN_OR_RETURN(Table * table, ctx_.catalog->GetTable(stmt.table));
-  STRIP_RETURN_IF_ERROR(LockTable(table, LockMode::kExclusive));
-  const Schema& schema = table->schema();
-
-  // Column mapping: position in VALUES -> column position.
-  std::vector<int> mapping;
-  if (stmt.columns.empty()) {
-    for (int i = 0; i < schema.num_columns(); ++i) mapping.push_back(i);
-  } else {
-    for (const std::string& col : stmt.columns) {
-      int c = schema.FindColumn(col);
-      if (c < 0) {
-        return Status::NotFound(StrFormat("no column '%s' in table '%s'",
-                                          col.c_str(), stmt.table.c_str()));
-      }
-      mapping.push_back(c);
-    }
-  }
-
-  int inserted = 0;
-  for (const auto& row_exprs : stmt.rows) {
-    if (row_exprs.size() != mapping.size()) {
-      return Status::InvalidArgument(StrFormat(
-          "INSERT arity mismatch: %zu values for %zu columns",
-          row_exprs.size(), mapping.size()));
-    }
-    std::vector<Value> values(static_cast<size_t>(schema.num_columns()));
-    for (size_t i = 0; i < row_exprs.size(); ++i) {
-      STRIP_ASSIGN_OR_RETURN(
-          Value v, EvalExpr(*row_exprs[i], nullptr, ctx_.funcs, ctx_.params));
-      values[static_cast<size_t>(mapping[i])] = std::move(v);
-    }
-    STRIP_ASSIGN_OR_RETURN(RowHandle it, table->Insert(MakeRecord(values)));
-    ctx_.txn->log().Append(LogOp::kInsert, table, it->id, nullptr, it->rec);
-    ++inserted;
-  }
-  return inserted;
-}
-
-Result<int> SqlExecutor::ExecuteUpdate(const UpdateStmt& stmt) {
-  if (ctx_.catalog == nullptr) {
-    return Status::FailedPrecondition("no catalog");
-  }
-  if (ctx_.txn == nullptr) {
-    return Status::FailedPrecondition("UPDATE requires a transaction");
-  }
-  STRIP_ASSIGN_OR_RETURN(Table * table, ctx_.catalog->GetTable(stmt.table));
-  STRIP_RETURN_IF_ERROR(LockTable(table, LockMode::kExclusive));
-  const Schema& schema = table->schema();
-
-  std::vector<int> set_cols;
-  for (const auto& sc : stmt.sets) {
-    int c = schema.FindColumn(sc.column);
-    if (c < 0) {
-      return Status::NotFound(StrFormat("no column '%s' in table '%s'",
-                                        sc.column.c_str(),
-                                        stmt.table.c_str()));
-    }
-    set_cols.push_back(c);
-  }
-
-  STRIP_ASSIGN_OR_RETURN(
-      std::vector<RowHandle> targets,
-      CollectMatchingRows(table, stmt.where.get(), ctx_.funcs, ctx_.pseudo,
-                          ctx_.params, ctx_.rows_scanned));
-
-  SingleTableRowContext ctx(table->name(), &schema, ctx_.pseudo);
-  for (RowHandle it : targets) {
-    RecordRef old_rec = it->rec;
-    ctx.set_record(old_rec.get());
-    std::vector<Value> values = old_rec->values;
-    for (size_t i = 0; i < stmt.sets.size(); ++i) {
-      STRIP_ASSIGN_OR_RETURN(
-          Value v,
-          EvalExpr(*stmt.sets[i].expr, &ctx, ctx_.funcs, ctx_.params));
-      values[static_cast<size_t>(set_cols[i])] = std::move(v);
-    }
-    STRIP_RETURN_IF_ERROR(table->Update(it, MakeRecord(std::move(values))));
-    ctx_.txn->log().Append(LogOp::kUpdate, table, it->id, old_rec, it->rec);
-  }
-  return static_cast<int>(targets.size());
-}
-
-Result<int> SqlExecutor::ExecuteDelete(const DeleteStmt& stmt) {
-  if (ctx_.catalog == nullptr) {
-    return Status::FailedPrecondition("no catalog");
-  }
-  if (ctx_.txn == nullptr) {
-    return Status::FailedPrecondition("DELETE requires a transaction");
-  }
-  STRIP_ASSIGN_OR_RETURN(Table * table, ctx_.catalog->GetTable(stmt.table));
-  STRIP_RETURN_IF_ERROR(LockTable(table, LockMode::kExclusive));
-
-  STRIP_ASSIGN_OR_RETURN(
-      std::vector<RowHandle> targets,
-      CollectMatchingRows(table, stmt.where.get(), ctx_.funcs, ctx_.pseudo,
-                          ctx_.params, ctx_.rows_scanned));
-
-  for (RowHandle it : targets) {
-    ctx_.txn->log().Append(LogOp::kDelete, table, it->id, it->rec, nullptr);
-    table->Erase(it);
-  }
-  return static_cast<int>(targets.size());
+  STRIP_ASSIGN_OR_RETURN(DmlPlan plan,
+                         PlanDml(stmt, *ctx_.catalog, ctx_.funcs));
+  return RunDml(plan, ctx_.txn, ctx_.locks, ctx_.params, ctx_.rows_scanned);
 }
 
 }  // namespace strip

@@ -4,13 +4,11 @@
 #include <map>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "strip/common/status.h"
 #include "strip/sql/ast.h"
 #include "strip/sql/compiled_expr.h"
-#include "strip/sql/expr_eval.h"
 #include "strip/sql/plan.h"
 #include "strip/storage/bound_table_set.h"
 #include "strip/storage/catalog.h"
@@ -43,9 +41,6 @@ struct ExecContext {
   /// statement keeps the nodes alive). Consulted before the executor's own
   /// per-statement compile cache.
   const std::unordered_map<const Expr*, CompiledExpr>* precompiled = nullptr;
-  /// Forces interpreted expression evaluation
-  /// (Database::Options::enable_compiled_exprs = false).
-  bool disable_compiled_exprs = false;
   /// When non-null, table access paths add the rows they read here
   /// (every row of a batched scan, every candidate of an index probe) — the
   /// engine points it at the executing task's rows_scanned so per-rule
@@ -76,10 +71,9 @@ class SqlExecutor {
                                        const std::vector<Conjunct>& conjuncts,
                                        const std::string& output_name);
 
-  /// DML; returns the number of affected rows.
-  Result<int> ExecuteInsert(const InsertStmt& stmt);
-  Result<int> ExecuteUpdate(const UpdateStmt& stmt);
-  Result<int> ExecuteDelete(const DeleteStmt& stmt);
+  /// INSERT / UPDATE / DELETE: PlanDml then RunDml. Returns the number of
+  /// affected rows.
+  Result<int> ExecuteDml(const Statement& stmt);
 
  private:
   /// An element scanned from an input: exactly one of rec / tuple set.
@@ -95,7 +89,7 @@ class SqlExecutor {
   Status LockTable(Table* table, LockMode mode);
 
   /// Scans input `i`, applying its pushed-down filters, invoking `emit`.
-  /// Uses an index for `col = const` filters when available.
+  /// Probes an index when FindIndexProbe picks one.
   Status ScanInput(const InputSet& inputs, int input,
                    const std::vector<const Expr*>& filters,
                    const std::function<Status(const ScanItem&)>& emit);
@@ -103,6 +97,11 @@ class SqlExecutor {
   /// Executes the join pipeline; returns surviving joined rows.
   Result<std::vector<JoinRow>> RunJoin(const InputSet& inputs,
                                        const std::vector<Conjunct>& conjuncts);
+
+  /// The program for `expr`: precompiled, cached, or compiled now (aggregate
+  /// nodes in `aggs` read the frame's group values).
+  const CompiledExpr& Program(const Expr& expr, const InputSet& inputs,
+                              const std::vector<const Expr*>* aggs = nullptr);
 
   /// Evaluates `expr` against `row`.
   Result<Value> Eval(const Expr& expr, const InputSet& inputs,
@@ -118,7 +117,6 @@ class SqlExecutor {
   /// resolved against that execution's InputSet (which lives on the
   /// caller's stack), so they must not survive into the next call.
   std::unordered_map<const Expr*, CompiledExpr> compiled_;
-  std::unordered_set<const Expr*> interpret_only_;
   EvalFrame frame_;
 };
 

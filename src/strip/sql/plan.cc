@@ -84,19 +84,6 @@ void InputSet::FillFromTemp(JoinRow& row, int input,
   }
 }
 
-Result<Value> JoinRowContext::GetColumn(const std::string& qualifier,
-                                        const std::string& column) const {
-  auto acc = inputs_->Resolve(qualifier, column);
-  if (acc.ok()) {
-    return inputs_->Read(*row_, *acc);
-  }
-  if (qualifier.empty() && pseudo_ != nullptr) {
-    auto it = pseudo_->find(column);
-    if (it != pseudo_->end()) return it->second;
-  }
-  return acc.status();
-}
-
 void SplitConjuncts(const Expr* where, std::vector<const Expr*>& out) {
   if (where == nullptr) return;
   if (where->kind == ExprKind::kBinary && where->bin_op == BinaryOp::kAnd) {
@@ -160,6 +147,73 @@ Result<std::vector<Conjunct>> ClassifyConjuncts(
     }
     out.push_back(std::move(c));
   }
+  return out;
+}
+
+std::vector<std::vector<const Expr*>> ScanFilters(
+    const InputSet& inputs, const std::vector<Conjunct>& conjuncts) {
+  std::vector<std::vector<const Expr*>> filters(inputs.inputs().size());
+  for (const Conjunct& c : conjuncts) {
+    if (c.referenced.size() > 1) continue;
+    int target = c.referenced.empty() ? 0 : c.referenced[0];
+    filters[static_cast<size_t>(target)].push_back(c.expr);
+  }
+  return filters;
+}
+
+IndexProbe FindIndexProbe(const InputSet& inputs, int input,
+                          const std::vector<const Expr*>& filters,
+                          const std::map<std::string, Value>* pseudo) {
+  const BoundInput& in = inputs.inputs()[static_cast<size_t>(input)];
+  if (in.table == nullptr) return {};
+  for (const Expr* f : filters) {
+    if (f->kind != ExprKind::kBinary || f->bin_op != BinaryOp::kEq) continue;
+    for (int side = 0; side < 2; ++side) {
+      const Expr& col_side = *f->args[static_cast<size_t>(side)];
+      const Expr& key_side = *f->args[static_cast<size_t>(1 - side)];
+      if (col_side.kind != ExprKind::kColumnRef) continue;
+      auto acc = inputs.Resolve(col_side.qualifier, col_side.column);
+      if (!acc.ok() || acc->input != input) continue;
+      Index* idx = in.table->FindIndexByPosition(acc->column);
+      if (idx == nullptr) continue;
+      std::vector<int> refs;
+      if (!CollectReferencedInputs(key_side, inputs, pseudo, refs).ok() ||
+          !refs.empty()) {
+        continue;
+      }
+      return IndexProbe{idx, &key_side};
+    }
+  }
+  return {};
+}
+
+bool IsAggregateQuery(const SelectStmt& stmt,
+                      const std::vector<SelectItem>& items) {
+  if (!stmt.group_by.empty()) return true;
+  for (const SelectItem& item : items) {
+    if (item.expr->ContainsAggregate()) return true;
+  }
+  return stmt.having != nullptr && stmt.having->ContainsAggregate();
+}
+
+namespace {
+
+void AppendAggregates(const Expr& expr, std::vector<const Expr*>& out) {
+  if (expr.kind == ExprKind::kAggregate) {
+    out.push_back(&expr);
+    return;
+  }
+  for (const auto& a : expr.args) AppendAggregates(*a, out);
+}
+
+}  // namespace
+
+std::vector<const Expr*> CollectAggregates(
+    const SelectStmt& stmt, const std::vector<SelectItem>& items) {
+  std::vector<const Expr*> out;
+  for (const SelectItem& item : items) AppendAggregates(*item.expr, out);
+  for (const auto& ob : stmt.order_by) AppendAggregates(*ob.expr, out);
+  if (stmt.having != nullptr) AppendAggregates(*stmt.having, out);
   return out;
 }
 

@@ -7,7 +7,6 @@
 
 #include "strip/common/status.h"
 #include "strip/sql/ast.h"
-#include "strip/sql/expr_eval.h"
 #include "strip/storage/bound_table_set.h"
 #include "strip/storage/table.h"
 #include "strip/storage/temp_table.h"
@@ -81,25 +80,6 @@ class InputSet {
   int num_extras_ = 0;
 };
 
-/// RowContext over a JoinRow, with optional pseudo-columns (e.g. the
-/// rule system's `commit_time`) consulted when normal resolution fails.
-class JoinRowContext final : public RowContext {
- public:
-  JoinRowContext(const InputSet* inputs, const JoinRow* row,
-                 const std::map<std::string, Value>* pseudo = nullptr)
-      : inputs_(inputs), row_(row), pseudo_(pseudo) {}
-
-  void set_row(const JoinRow* row) { row_ = row; }
-
-  Result<Value> GetColumn(const std::string& qualifier,
-                          const std::string& column) const override;
-
- private:
-  const InputSet* inputs_;
-  const JoinRow* row_;
-  const std::map<std::string, Value>* pseudo_;
-};
-
 /// Splits a WHERE tree into top-level AND conjuncts (borrowed pointers
 /// into the statement's expression tree).
 void SplitConjuncts(const Expr* where, std::vector<const Expr*>& out);
@@ -129,6 +109,42 @@ struct Conjunct {
 Result<std::vector<Conjunct>> ClassifyConjuncts(
     const Expr* where, const InputSet& inputs,
     const std::map<std::string, Value>* pseudo);
+
+/// The pushed-down filters of each input: every conjunct that references at
+/// most one input, on that input (conjuncts referencing none go to input
+/// 0). Conjuncts spanning inputs are join predicates and are left out.
+std::vector<std::vector<const Expr*>> ScanFilters(
+    const InputSet& inputs, const std::vector<Conjunct>& conjuncts);
+
+/// An index probe that replaces a scan of one input.
+struct IndexProbe {
+  Index* index = nullptr;     // null: no filter can probe; scan
+  const Expr* key = nullptr;  // the side of `col = key` to evaluate
+};
+
+/// The access-path rule for every scan (SELECT inputs and DML targets):
+/// the first of `filters` shaped `col = key` or `key = col`, where `col`
+/// names an indexed column of standard input `input` and `key` references
+/// no input column — literals, parameters, function calls and pseudo
+/// columns are fine. The filter itself stays in the filter list, so every
+/// candidate the index returns is still checked against it.
+IndexProbe FindIndexProbe(const InputSet& inputs, int input,
+                          const std::vector<const Expr*>& filters,
+                          const std::map<std::string, Value>* pseudo);
+
+/// True when a SELECT aggregates: it has GROUP BY, or a select item or
+/// HAVING contains an aggregate call. `items` is the (star-expanded)
+/// select list.
+bool IsAggregateQuery(const SelectStmt& stmt,
+                      const std::vector<SelectItem>& items);
+
+/// The aggregate calls of an aggregate SELECT in the order its per-group
+/// state is kept: select items, then ORDER BY keys, then HAVING. Aggregate
+/// arguments are not searched, so a nested aggregate is not listed (and
+/// raises when reached). Compiled programs address a group's finalized
+/// values by position in this list.
+std::vector<const Expr*> CollectAggregates(
+    const SelectStmt& stmt, const std::vector<SelectItem>& items);
 
 }  // namespace strip
 

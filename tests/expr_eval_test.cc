@@ -1,64 +1,26 @@
 // Unit tests for expression evaluation: arithmetic, null propagation,
-// comparisons, logic, scalar functions, parameters.
+// comparisons, logic, scalar functions, parameters. Every case runs through
+// CompiledExpr and is checked against the reference evaluator.
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "strip/sql/expr_eval.h"
-#include "strip/sql/parser.h"
+#include "tests/reference_eval.h"
 #include "tests/test_util.h"
 
 namespace strip {
 namespace {
 
-/// RowContext over a fixed name -> value map.
-class MapRowContext final : public RowContext {
- public:
-  explicit MapRowContext(std::map<std::string, Value> values)
-      : values_(std::move(values)) {}
-
-  Result<Value> GetColumn(const std::string& qualifier,
-                          const std::string& column) const override {
-    std::string key = qualifier.empty() ? column : qualifier + "." + column;
-    auto it = values_.find(key);
-    if (it == values_.end()) {
-      return Status::NotFound("no column " + key);
-    }
-    return it->second;
-  }
-
- private:
-  std::map<std::string, Value> values_;
-};
-
-class ExprEvalTest : public ::testing::Test {
+class ExprEvalTest : public ExprFixture {
  protected:
-  ExprEvalTest()
-      : funcs_(ScalarFuncRegistry::WithBuiltins()),
-        row_({{"x", Value::Int(4)},
-              {"y", Value::Double(2.5)},
-              {"s", Value::Str("hi")},
-              {"n", Value::Null()},
-              {"t.z", Value::Int(9)}}) {}
-
   Value Eval(const std::string& text,
              const std::vector<Value>* params = nullptr) {
-    auto e = Parser::ParseExpression(text);
-    EXPECT_TRUE(e.ok()) << e.status().ToString();
-    auto v = EvalExpr(**e, &row_, &funcs_, params);
+    auto v = Run(text, params);
     EXPECT_TRUE(v.ok()) << text << " -> " << v.status().ToString();
     return v.ok() ? *v : Value::Null();
   }
 
-  Status EvalError(const std::string& text) {
-    auto e = Parser::ParseExpression(text);
-    EXPECT_TRUE(e.ok()) << e.status().ToString();
-    return EvalExpr(**e, &row_, &funcs_).status();
-  }
-
-  ScalarFuncRegistry funcs_;
-  MapRowContext row_;
+  Status EvalError(const std::string& text) { return Run(text).status(); }
 };
 
 TEST_F(ExprEvalTest, Arithmetic) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "strip/sql/compiled_expr.h"
 #include "strip/sql/parser.h"
 #include "strip/sql/plan.h"
 #include "strip/storage/table.h"
@@ -90,8 +91,12 @@ TEST_F(PlanTest, JoinRowReadThroughSlotsAndExtras) {
   ASSERT_OK_AND_ASSIGN(ColumnAccessor x, mixed.Resolve("tmp", "x"));
   EXPECT_EQ(mixed.Read(row, x), Value::Int(42));
 
-  JoinRowContext ctx(&mixed, &row);
-  ASSERT_OK_AND_ASSIGN(Value v, ctx.GetColumn("", "x"));
+  // A compiled bare name reads the temp input's extras.
+  EvalFrame frame;
+  frame.row = &row;
+  ASSERT_OK_AND_ASSIGN(
+      Value v, CompiledExpr::Compile(*Parse("x"), mixed, nullptr, nullptr)
+                   .Eval(frame));
   EXPECT_EQ(v, Value::Int(42));
 }
 
@@ -105,11 +110,17 @@ TEST_F(PlanTest, PseudoColumnsResolveAfterInputs) {
   row.extras.resize(0);
   row.slots[0] = MakeRecord({Value::Int(1), Value::Str("x")});
   row.slots[1] = MakeRecord({Value::Str("y"), Value::Double(2)});
-  JoinRowContext ctx(&inputs_, &row, &pseudo);
-  ASSERT_OK_AND_ASSIGN(Value v, ctx.GetColumn("", "commit_time"));
+  EvalFrame frame;
+  frame.row = &row;
+  frame.pseudo = &pseudo;
+  auto eval = [&](const std::string& text) {
+    return CompiledExpr::Compile(*Parse(text), inputs_, &pseudo, nullptr)
+        .Eval(frame);
+  };
+  ASSERT_OK_AND_ASSIGN(Value v, eval("commit_time"));
   EXPECT_EQ(v, Value::Int(123));
   // Real columns win over pseudo columns.
-  ASSERT_OK_AND_ASSIGN(v, ctx.GetColumn("", "a"));
+  ASSERT_OK_AND_ASSIGN(v, eval("a"));
   EXPECT_EQ(v, Value::Int(1));
 }
 

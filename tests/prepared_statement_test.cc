@@ -1,7 +1,9 @@
 // Prepared statements, the plan cache, and their DDL-invalidation
-// behavior, plus the compiled-vs-interpreted equivalence sweep: the same
-// statements executed through slot-compiled programs and through the
-// tree-walking interpreter must produce identical results.
+// behavior, plus two prepared-vs-text comparisons: the semantics every
+// statement keeps on both paths (lazy errors, the empty global aggregate,
+// error codes), and an equivalence sweep over the PTA tables. A prepared
+// handle runs a plan frozen at prepare time; textual SQL with the plan
+// cache off binds and plans afresh on every execution.
 
 #include <gtest/gtest.h>
 
@@ -231,20 +233,199 @@ TEST(PreparedStatementTest, PlanNotesDescribeFastPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled vs. interpreted equivalence
+// Semantics both statement paths keep
 // ---------------------------------------------------------------------------
 
-/// Two databases populated identically (reusing the PTA generators), one
-/// with compiled expressions + fast paths, one forced fully interpreted.
+/// Runs each statement through a prepared handle on one database and as
+/// plan-cache-off text on an identically seeded second one.
+class DmlSemanticsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Database::Options text;
+    text.enable_plan_cache = false;
+    text_ = std::make_unique<Database>(text);
+    SeedTable(prepared_);
+    SeedTable(*text_);
+  }
+
+  /// Both paths must fail with `code`, or both succeed with the same rows
+  /// (returned as strings).
+  std::vector<std::string> ExpectBoth(const std::string& sql,
+                                      StatusCode code = StatusCode::kOk) {
+    auto handle = prepared_.Prepare(sql);
+    EXPECT_TRUE(handle.ok()) << sql << ": " << handle.status().ToString();
+    if (!handle.ok()) return {};
+    Result<ResultSet> a = (*handle)->Execute();
+    Result<ResultSet> b = text_->Execute(sql);
+    EXPECT_EQ(a.status().code(), code)
+        << sql << "\nprepared: " << a.status().ToString();
+    EXPECT_EQ(b.status().code(), code)
+        << sql << "\ntext: " << b.status().ToString();
+    if (!a.ok() || !b.ok()) return {};
+    std::vector<std::string> rows = Rows(*a);
+    EXPECT_EQ(rows, Rows(*b)) << sql;
+    return rows;
+  }
+
+  static std::vector<std::string> Rows(const ResultSet& rs) {
+    std::vector<std::string> out;
+    for (const auto& row : rs.rows) {
+      std::string line;
+      for (const Value& v : row) line += v.ToString() + "|";
+      out.push_back(line);
+    }
+    return out;
+  }
+
+  /// The seeded table is unchanged on both databases.
+  void ExpectUnchanged() {
+    for (Database* db : {&prepared_, text_.get()}) {
+      ASSERT_OK_AND_ASSIGN(ResultSet rs,
+                           db->Execute("select k, v from t order by k"));
+      ASSERT_EQ(rs.num_rows(), 3u);
+      for (size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(rs.rows[i][0].as_string(), std::string(1, 'a' + i));
+        EXPECT_DOUBLE_EQ(rs.rows[i][1].as_double(), 1.0 + i);
+      }
+    }
+  }
+
+  Database prepared_;
+  std::unique_ptr<Database> text_;
+};
+
+TEST_F(DmlSemanticsTest, UnknownColumnsInDmlFailOnlyWhenReached) {
+  // The short-circuit never reaches `bogus`.
+  EXPECT_EQ(ExpectBoth("update t set v = 2 where 1 = 0 and bogus = 1"),
+            std::vector<std::string>{"0|"});
+  EXPECT_EQ(ExpectBoth("delete from t where 1 = 0 and bogus = 1"),
+            std::vector<std::string>{"0|"});
+  // No row matches, so the SET expression is never evaluated.
+  EXPECT_EQ(ExpectBoth("update t set v = bogus where k = 'zz'"),
+            std::vector<std::string>{"0|"});
+  // Row 'a' reaches `bogus`: NotFound, and nothing is applied.
+  ExpectBoth("update t set v = 2 where k = 'a' and bogus = 1",
+             StatusCode::kNotFound);
+  ExpectBoth("update t set v = bogus where k = 'a'", StatusCode::kNotFound);
+  ExpectUnchanged();
+}
+
+TEST_F(DmlSemanticsTest, LazyErrorsSurviveAnIndexProbe) {
+  for (Database* db : {&prepared_, text_.get()}) {
+    ASSERT_OK(db->Execute("create index t_k on t (k)").status());
+  }
+  EXPECT_EQ(ExpectBoth("update t set v = 2 where k = 'zz' and bogus = 1"),
+            std::vector<std::string>{"0|"});
+  ExpectBoth("update t set v = 2 where k = 'a' and bogus = 1",
+             StatusCode::kNotFound);
+  // A probe key that fails to evaluate falls back to the scan, which
+  // reports the same error the key did.
+  ExpectBoth("update t set v = 2 where k = 1 / 0",
+             StatusCode::kInvalidArgument);
+  ExpectUnchanged();
+}
+
+TEST_F(DmlSemanticsTest, EmptyGlobalAggregateReadsColumnsAsNull) {
+  EXPECT_EQ(ExpectBoth("select count(*), k from t where 1 = 0"),
+            std::vector<std::string>{"0|null|"});
+  EXPECT_EQ(ExpectBoth("select count(*) + 1, sum(v), v * 2 from t "
+                       "where v > 100"),
+            std::vector<std::string>{"1|null|null|"});
+  // Grouped queries over no rows produce no groups at all.
+  EXPECT_TRUE(ExpectBoth("select k, count(*) from t where 1 = 0 group by k")
+                  .empty());
+}
+
+TEST_F(DmlSemanticsTest, GroupExpressionsEvaluateLikeRowExpressions) {
+  // Negating a non-numeric aggregate fails like negating a string column
+  // (the per-group tree walk read the string as a double and aborted).
+  ExpectBoth("select -max(k) from t", StatusCode::kInvalidArgument);
+  ExpectBoth("select -k from t", StatusCode::kInvalidArgument);
+  // AND short-circuits over group values as it does over rows.
+  EXPECT_TRUE(ExpectBoth("select k, count(*) from t group by k "
+                         "having count(*) > 5 and sum(v) / 0 > 1")
+                  .empty());
+  EXPECT_TRUE(ExpectBoth("select k from t where v > 5 and v / 0 > 1").empty());
+}
+
+TEST_F(DmlSemanticsTest, DivisionByZeroAndUnboundParameterCodes) {
+  ExpectBoth("update t set v = 1 / 0 where k = 'a'",
+             StatusCode::kInvalidArgument);
+  ExpectBoth("select v / 0 from t", StatusCode::kInvalidArgument);
+  ExpectBoth("select sum(v) / 0 from t", StatusCode::kInvalidArgument);
+  ExpectBoth("update t set v = ? where k = 'a'",
+             StatusCode::kInvalidArgument);
+  ExpectBoth("select v from t where k = ?", StatusCode::kInvalidArgument);
+  ExpectBoth("insert into t values (?, 1.0)", StatusCode::kInvalidArgument);
+  ExpectUnchanged();
+}
+
+TEST_F(DmlSemanticsTest, PlanErrorsKeepTheirCodes) {
+  ExpectBoth("update nosuch set v = 1", StatusCode::kNotFound);
+  ExpectBoth("delete from nosuch", StatusCode::kNotFound);
+  ExpectBoth("insert into nosuch values (1)", StatusCode::kNotFound);
+  ExpectBoth("update t set nosuch = 1", StatusCode::kNotFound);
+  ExpectBoth("insert into t (k, nosuch) values ('x', 1)",
+             StatusCode::kNotFound);
+  ExpectBoth("insert into t values ('x')", StatusCode::kInvalidArgument);
+  ExpectUnchanged();
+}
+
+TEST_F(DmlSemanticsTest, SharedDmlPlanAcrossThreadsAndDdl) {
+  // Two threads run one prepared UPDATE while DDL keeps replacing its plan
+  // (an unrelated table created and dropped; midway, an index that turns
+  // the scan into a probe). Every execution runs one whole DmlPlan under
+  // the DDL latch, so every committed increment lands exactly once.
+  ASSERT_OK_AND_ASSIGN(PreparedStatementPtr bump,
+                       prepared_.Prepare("update t set v = v + 1 where k = ?"));
+  std::atomic<int> committed{0};
+  std::atomic<bool> stop{false};
+  auto worker = [&](const char* key) {
+    while (!stop.load(std::memory_order_relaxed)) {
+      auto r = bump->Execute({Value::Str(key)});
+      if (r.ok()) {
+        EXPECT_EQ(r->rows[0][0].as_int(), 1);
+        ++committed;
+      } else {
+        EXPECT_EQ(r.status().code(), StatusCode::kAborted)
+            << r.status().ToString();
+      }
+    }
+  };
+  std::thread a(worker, "a");
+  std::thread b(worker, "b");
+  while (committed.load() == 0) std::this_thread::yield();
+  for (int i = 0; i < 40; ++i) {
+    if (i == 20) {
+      ASSERT_OK(prepared_.Execute("create index t_k on t (k)").status());
+    }
+    ASSERT_OK(prepared_.Execute("create table churn (x int)").status());
+    ASSERT_OK(prepared_.Execute("drop table churn").status());
+  }
+  stop = true;
+  a.join();
+  b.join();
+  ASSERT_OK_AND_ASSIGN(bool probes, bump->UsesIndexProbe());
+  EXPECT_TRUE(probes);
+  ASSERT_OK_AND_ASSIGN(ResultSet rs, prepared_.Execute("select sum(v) from t"));
+  EXPECT_DOUBLE_EQ(rs.rows[0][0].as_double(), 6.0 + committed.load());
+}
+
+// ---------------------------------------------------------------------------
+// Prepared vs. text equivalence
+// ---------------------------------------------------------------------------
+
+/// Two databases populated identically (reusing the PTA generators): one
+/// executes through prepared handles — plans frozen once, reused across
+/// executions — and one through textual SQL with the plan cache off, which
+/// binds and plans every statement afresh.
 class EquivalenceSweep : public ::testing::Test {
  protected:
   EquivalenceSweep() {
-    Database::Options compiled;
-    compiled.enable_compiled_exprs = true;
-    Database::Options interpreted;
-    interpreted.enable_compiled_exprs = false;
-    compiled_ = std::make_unique<Database>(compiled);
-    interpreted_ = std::make_unique<Database>(interpreted);
+    Database::Options text;
+    text.enable_plan_cache = false;
+    prepared_ = std::make_unique<Database>();
+    text_ = std::make_unique<Database>(text);
   }
 
   void Populate() {
@@ -259,18 +440,20 @@ class EquivalenceSweep : public ::testing::Test {
     cfg.stocks_per_composite = 10;
     cfg.num_options = 60;
     cfg.seed = 5678;
-    ASSERT_OK(PopulatePtaTables(*compiled_, trace_, cfg));
-    ASSERT_OK(PopulatePtaTables(*interpreted_, trace_, cfg));
+    ASSERT_OK(PopulatePtaTables(*prepared_, trace_, cfg));
+    ASSERT_OK(PopulatePtaTables(*text_, trace_, cfg));
   }
 
-  /// Runs `sql` on both engines; both must agree on status and, when OK,
-  /// on every row (order included — queries in the sweep are ordered).
+  /// Runs `sql` both ways; both must agree on status and, when OK, on
+  /// every row (order included — queries in the sweep are ordered).
   void ExpectSameResult(const std::string& sql) {
-    auto a = compiled_->Execute(sql);
-    auto b = interpreted_->Execute(sql);
+    auto handle = prepared_->Prepare(sql);
+    ASSERT_TRUE(handle.ok()) << sql << ": " << handle.status().ToString();
+    auto a = (*handle)->Execute();
+    auto b = text_->Execute(sql);
     ASSERT_EQ(a.ok(), b.ok())
-        << sql << "\ncompiled: " << a.status().ToString()
-        << "\ninterpreted: " << b.status().ToString();
+        << sql << "\nprepared: " << a.status().ToString()
+        << "\ntext: " << b.status().ToString();
     if (!a.ok()) {
       EXPECT_EQ(a.status().code(), b.status().code()) << sql;
       return;
@@ -286,28 +469,28 @@ class EquivalenceSweep : public ::testing::Test {
   }
 
   MarketTrace trace_;
-  std::unique_ptr<Database> compiled_;
-  std::unique_ptr<Database> interpreted_;
+  std::unique_ptr<Database> prepared_;
+  std::unique_ptr<Database> text_;
 };
 
 TEST_F(EquivalenceSweep, QueriesAndDmlAgree) {
   Populate();
 
-  // Apply the trace's updates through the prepared path on the compiled
-  // engine and through the same handle API on the interpreted one (where
-  // every execution falls back to the interpreter).
+  // Apply the trace's updates through one prepared handle with rebound
+  // parameters, and as textual statements with inline literals.
   ASSERT_OK_AND_ASSIGN(
-      PreparedStatementPtr upd_c,
-      compiled_->Prepare("update stocks set price = ? where symbol = ?"));
-  ASSERT_OK_AND_ASSIGN(
-      PreparedStatementPtr upd_i,
-      interpreted_->Prepare("update stocks set price = ? where symbol = ?"));
+      PreparedStatementPtr upd,
+      prepared_->Prepare("update stocks set price = ? where symbol = ?"));
   for (const Quote& q : trace_.quotes()) {
     std::vector<Value> params = {Value::Double(q.price),
                                  Value::Str(StockSymbol(q.stock))};
-    ASSERT_OK_AND_ASSIGN(ResultSet rc, upd_c->Execute(params));
-    ASSERT_OK_AND_ASSIGN(ResultSet ri, upd_i->Execute(params));
-    EXPECT_EQ(rc.rows[0][0].as_int(), ri.rows[0][0].as_int());
+    ASSERT_OK_AND_ASSIGN(ResultSet rp, upd->Execute(params));
+    ASSERT_OK_AND_ASSIGN(
+        ResultSet rt,
+        text_->Execute(StrFormat("update stocks set price = %.17g "
+                                 "where symbol = '%s'",
+                                 q.price, StockSymbol(q.stock).c_str())));
+    EXPECT_EQ(rp.rows[0][0].as_int(), rt.rows[0][0].as_int());
   }
 
   const char* queries[] = {
@@ -340,25 +523,32 @@ TEST_F(EquivalenceSweep, QueriesAndDmlAgree) {
 
   // Error equivalence: division by zero surfaces identically.
   ExpectSameResult("select 1 / 0 from stocks");
-  // Unknown column behind a never-true branch stays a lazy error in both.
-  ExpectSameResult("select symbol from stocks where price > 1e12");
+  // An unknown column fails at bind time, even behind a never-true
+  // conjunct; an unknown function there is never reached.
+  ExpectSameResult("select symbol from stocks where price > 1e12 and bogus = 1");
+  ExpectSameResult(
+      "select symbol from stocks where price > 1e12 and nosuchfn(price) = 1");
 }
 
-TEST_F(EquivalenceSweep, PreparedSelectMatchesInterpreted) {
+TEST_F(EquivalenceSweep, PreparedSelectMatchesText) {
   Populate();
   ASSERT_OK_AND_ASSIGN(
-      PreparedStatementPtr sel_c,
-      compiled_->Prepare(
-          "select comp, weight from comps_list where symbol = ?"));
-  ASSERT_OK_AND_ASSIGN(
-      PreparedStatementPtr sel_i,
-      interpreted_->Prepare(
+      PreparedStatementPtr sel,
+      prepared_->Prepare(
           "select comp, weight from comps_list where symbol = ?"));
   for (int i = 0; i < 40; ++i) {
     std::vector<Value> params = {Value::Str(StockSymbol(i))};
-    ASSERT_OK_AND_ASSIGN(ResultSet a, sel_c->Execute(params));
-    ASSERT_OK_AND_ASSIGN(ResultSet b, sel_i->Execute(params));
+    ASSERT_OK_AND_ASSIGN(ResultSet a, sel->Execute(params));
+    ASSERT_OK_AND_ASSIGN(
+        ResultSet b,
+        text_->Execute(StrFormat(
+            "select comp, weight from comps_list where symbol = '%s'",
+            StockSymbol(i).c_str())));
     ASSERT_EQ(a.num_rows(), b.num_rows()) << StockSymbol(i);
+    for (size_t r = 0; r < a.num_rows(); ++r) {
+      EXPECT_EQ(a.rows[r][0].ToString(), b.rows[r][0].ToString());
+      EXPECT_EQ(a.rows[r][1].ToString(), b.rows[r][1].ToString());
+    }
   }
 }
 
