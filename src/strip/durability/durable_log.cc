@@ -27,6 +27,7 @@ Result<DurableLog::RecoveryStats> DurableLog::Recover(
     STRIP_RETURN_IF_ERROR(RestoreSnapshot(db, *snap));
     stats.snapshot_loaded = true;
     stats.snapshot_lsn = snap->lsn;
+    stats.snapshot_tasks = snap->tasks.size();
     for (const TableSnapshot& ts : snap->tables) {
       stats.snapshot_rows += ts.rows.size();
     }
@@ -94,12 +95,13 @@ Result<DurableLog::RecoveryStats> DurableLog::Recover(
   STRIP_ASSIGN_OR_RETURN(
       wal_, WalWriter::Open(wal_path_, stats.next_lsn, options_.sync));
   STRIP_LOG(INFO,
-            "recovery: snapshot %s (lsn %llu, %llu rows), %llu WAL entries "
-            "replayed (%llu skipped), %llu torn bytes discarded, next lsn "
-            "%llu",
+            "recovery: snapshot %s (lsn %llu, %llu rows, %llu pending "
+            "tasks), %llu WAL entries replayed (%llu skipped), %llu torn "
+            "bytes discarded, next lsn %llu",
             stats.snapshot_loaded ? "loaded" : "absent",
             static_cast<unsigned long long>(stats.snapshot_lsn),
             static_cast<unsigned long long>(stats.snapshot_rows),
+            static_cast<unsigned long long>(stats.snapshot_tasks),
             static_cast<unsigned long long>(stats.entries_replayed),
             static_cast<unsigned long long>(stats.entries_skipped),
             static_cast<unsigned long long>(stats.torn_bytes_discarded),
@@ -126,11 +128,11 @@ Status DurableLog::RollbackTo(uint64_t wal_bytes, uint64_t next_lsn) {
   return wal_->TruncateTo(wal_bytes, next_lsn);
 }
 
-Result<uint64_t> DurableLog::Checkpoint(Database& db) {
+Result<DurableLog::CheckpointStats> DurableLog::Checkpoint(Database& db) {
   std::lock_guard<std::mutex> lk(mu_);
   STRIP_CHECK_MSG(wal_ != nullptr, "DurableLog::Checkpoint before Recover");
   uint64_t lsn = wal_->next_lsn() - 1;
-  SnapshotData snap = CaptureSnapshot(db, lsn);
+  STRIP_ASSIGN_OR_RETURN(SnapshotData snap, CaptureSnapshot(db, lsn));
   STRIP_RETURN_IF_ERROR(WriteSnapshot(snap, snapshot_path_));
   // The snapshot covers every logged entry, so the WAL restarts empty.
   // Order matters twice. First, the snapshot is durably in place before
@@ -159,9 +161,11 @@ Result<uint64_t> DurableLog::Checkpoint(Database& db) {
     return reopened.status();
   }
   wal_ = std::move(*reopened);
-  STRIP_LOG(INFO, "checkpoint: snapshot through lsn %llu, WAL truncated",
-            static_cast<unsigned long long>(lsn));
-  return lsn;
+  STRIP_LOG(INFO,
+            "checkpoint: snapshot through lsn %llu with %zu pending tasks, "
+            "WAL truncated",
+            static_cast<unsigned long long>(lsn), snap.tasks.size());
+  return CheckpointStats{lsn, snap.tasks.size()};
 }
 
 uint64_t DurableLog::next_lsn() const {

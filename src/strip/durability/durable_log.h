@@ -21,11 +21,13 @@ namespace strip {
 ///   1. re-run the schema script (tables, views, rules — code, not data;
 ///      the caller does this before Recover());
 ///   2. load the newest valid snapshot and install its rows directly,
-///      rules NOT firing (derived rows are already in the snapshot);
+///      rules NOT firing (derived rows are already in the snapshot), then
+///      re-submit the rule-action tasks that were waiting in their delay
+///      windows at the checkpoint, with their remaining delay;
 ///   3. replay WAL entries past the snapshot LSN through the ordinary
-///      FeedImporter path, rules firing — which is precisely what rebuilds
-///      the in-flight unique transactions that were queued inside their
-///      delay windows when the process died;
+///      FeedImporter path, rules firing — the replayed firings merge into
+///      the restored unique tasks exactly as the live ones did, and
+///      rebuild the tasks created after the checkpoint;
 ///   4. truncate any torn WAL tail (records never acknowledged) and
 ///      reopen the log for appending.
 ///
@@ -50,6 +52,7 @@ class DurableLog {
     bool snapshot_loaded = false;
     uint64_t snapshot_lsn = 0;
     uint64_t snapshot_rows = 0;
+    uint64_t snapshot_tasks = 0;  // pending rule-action tasks restored
     uint64_t entries_replayed = 0;
     /// Replayed entries that failed validation against the current schema
     /// (skipped with a WARN instead of refusing to boot — the live server
@@ -83,10 +86,17 @@ class DurableLog {
   /// never holds entries the client was told failed.
   Status RollbackTo(uint64_t wal_bytes, uint64_t next_lsn);
 
+  struct CheckpointStats {
+    uint64_t lsn = 0;           // the snapshot is consistent through it
+    size_t pending_tasks = 0;   // delayed rule-action tasks captured
+  };
+
   /// Writes a snapshot consistent through everything appended so far and
-  /// truncates the WAL. The caller must hold the engine quiescent
-  /// (drained executor, no active transactions). Returns the snapshot LSN.
-  Result<uint64_t> Checkpoint(Database& db);
+  /// truncates the WAL. The caller keeps new transactions and appends out
+  /// for the call; the executor is paused only for the capture (see
+  /// CaptureSnapshot), and pending rule tasks stay pending. On failure
+  /// nothing is written and the WAL is kept.
+  Result<CheckpointStats> Checkpoint(Database& db);
 
   /// One past the last appended entry.
   uint64_t next_lsn() const;

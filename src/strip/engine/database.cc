@@ -264,6 +264,7 @@ void Database::SubmitPeriodicTick(
     const std::string& function_name, Timestamp period,
     std::shared_ptr<std::atomic<bool>> cancelled) {
   TaskPtr task = NewTask();
+  task->kind = TaskKind::kPeriodicTick;
   task->release_time = Now() + period;
   task->function_name = function_name;
   // Each tick is its own causal root (nothing upstream caused it).

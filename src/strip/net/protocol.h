@@ -77,7 +77,7 @@ struct FeedAppendResponse {
 
 enum class AdminOp : uint8_t {
   kDrain = 1,       // block until the engine is quiescent
-  kCheckpoint = 2,  // drain + snapshot + truncate the WAL
+  kCheckpoint = 2,  // snapshot (tables + pending rule tasks), truncate WAL
   kMetrics = 3,     // registry snapshot JSON in `body`
   kHealth = 4,      // watchdog verdict JSON in `body`
   kShutdown = 5,    // graceful stop (checkpoint + exit)

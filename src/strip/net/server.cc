@@ -95,11 +95,15 @@ Status Server::Init() {
   if (!options_.data_dir.empty()) {
     durable_ = std::make_unique<DurableLog>(DurableLog::Options{
         options_.data_dir, options_.sync});
-    STRIP_ASSIGN_OR_RETURN(
-        recovery_stats_,
-        durable_->Recover(*db_, [this](const std::string& table) {
-          return FindImporter(table);
-        }));
+    auto recovered = durable_->Recover(*db_, [this](const std::string& table) {
+      return FindImporter(table);
+    });
+    if (!recovered.ok()) {
+      // An unrecovered log has no writer: Stop() must not checkpoint it.
+      durable_.reset();
+      return recovered.status();
+    }
+    recovery_stats_ = *recovered;
     // Serve only after replay has fully applied: a client that was acked
     // before the crash must read its own writes immediately on reconnect.
     db_->threaded()->Drain();
@@ -115,6 +119,8 @@ Status Server::Init() {
   shed_requests_ = m.counter("server.shed_requests");
   feed_records_ = m.counter("server.feed_records");
   checkpoints_ = m.counter("server.checkpoints");
+  checkpoint_pending_tasks_ = m.counter("server.checkpoint_pending_tasks");
+  checkpoint_us_ = m.histogram("server.checkpoint_us");
   backpressure_pauses_ = m.counter("server.backpressure_pauses");
   wal_rollbacks_ = m.counter("server.wal_rollbacks");
   bytes_in_ = m.counter("server.bytes_in");
@@ -214,18 +220,24 @@ void Server::Wait() {
 }
 
 Result<uint64_t> Server::Checkpoint() {
+  // Holding dispatch_mu_ stops new requests from starting, so no
+  // transaction is open outside the executor while it captures.
+  std::lock_guard<std::mutex> lk(dispatch_mu_);
+  return CheckpointLocked();
+}
+
+Result<uint64_t> Server::CheckpointLocked() {
   if (durable_ == nullptr) {
     return Status::FailedPrecondition(
         "server has no data_dir: nothing to checkpoint");
   }
-  // Holding dispatch_mu_ stops new requests from starting; Drain then
-  // retires every queued rule task and delayed unique transaction, which is
-  // the quiescence CaptureSnapshot requires.
-  std::lock_guard<std::mutex> lk(dispatch_mu_);
-  db_->threaded()->Drain();
-  STRIP_ASSIGN_OR_RETURN(uint64_t lsn, durable_->Checkpoint(*db_));
+  const int64_t t0 = SteadyMicros();
+  auto done = durable_->Checkpoint(*db_);
+  checkpoint_us_->Observe(SteadyMicros() - t0);
+  STRIP_RETURN_IF_ERROR(done.status());
   checkpoints_->Add();
-  return lsn;
+  checkpoint_pending_tasks_->Add(done->pending_tasks);
+  return done->lsn;
 }
 
 void Server::WakeEpoll() {
@@ -638,15 +650,8 @@ Result<Frame> Server::HandleAdmin(Connection* conn, const Frame& frame) {
       resp.lsn = durable_ == nullptr ? 0 : durable_->next_lsn() - 1;
       break;
     case AdminOp::kCheckpoint: {
-      if (durable_ == nullptr) {
-        return Status::FailedPrecondition(
-            "server has no data_dir: nothing to checkpoint");
-      }
-      // Dispatch already holds dispatch_mu_ (do NOT call Checkpoint() —
-      // it would self-deadlock); drain + checkpoint inline.
-      db_->threaded()->Drain();
-      STRIP_ASSIGN_OR_RETURN(resp.lsn, durable_->Checkpoint(*db_));
-      checkpoints_->Add();
+      // Dispatch already holds dispatch_mu_.
+      STRIP_ASSIGN_OR_RETURN(resp.lsn, CheckpointLocked());
       break;
     }
     case AdminOp::kMetrics:

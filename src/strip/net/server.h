@@ -98,8 +98,10 @@ class Server {
   }
   bool stopped() const { return !running_.load(std::memory_order_relaxed); }
 
-  /// Drains the engine and checkpoints (snapshot + WAL truncate). Safe to
-  /// call from any thread; requests are held off while it runs.
+  /// Checkpoints (snapshot + WAL truncate) without draining the engine:
+  /// requests are held off while the executor pauses, the tables and the
+  /// delayed rule tasks are captured, and the snapshot is written; the
+  /// rule tasks keep their delay windows. Safe to call from any thread.
   Result<uint64_t> Checkpoint();
 
  private:
@@ -152,6 +154,9 @@ class Server {
   void UpdateEpollInterest(int fd, Connection* conn);
   void WakeEpoll();
 
+  /// Checkpoint() minus the lock; the caller holds dispatch_mu_.
+  Result<uint64_t> CheckpointLocked();
+
   Result<FeedImporter*> FindImporter(const std::string& table);
   /// True when the watchdog says shed and this session is sacrificial.
   bool ShouldShed(const Connection& conn) const;
@@ -199,6 +204,8 @@ class Server {
   Counter* shed_requests_ = nullptr;
   Counter* feed_records_ = nullptr;
   Counter* checkpoints_ = nullptr;
+  Counter* checkpoint_pending_tasks_ = nullptr;
+  Histogram* checkpoint_us_ = nullptr;  // the section requests wait out
   Counter* backpressure_pauses_ = nullptr;
   Counter* wal_rollbacks_ = nullptr;
   Counter* bytes_in_ = nullptr;

@@ -1,5 +1,7 @@
 #include "strip/rules/rule_engine.h"
 
+#include <algorithm>
+
 #include "strip/common/string_util.h"
 #include "strip/obs/trace_ring.h"
 #include "strip/rules/transition_tables.h"
@@ -85,24 +87,76 @@ std::vector<std::string> RuleEngine::ListRules() const {
   return out;
 }
 
+TaskPtr RuleEngine::MakeActionTask(const std::string& function_name,
+                                   Timestamp release_time,
+                                   BoundTableSet&& tables) {
+  auto task = std::make_shared<TaskControlBlock>(
+      deps_.task_ids->fetch_add(1, std::memory_order_relaxed));
+  task->kind = TaskKind::kRuleAction;
+  task->release_time = release_time;
+  task->function_name = function_name;
+  task->bound_tables = std::move(tables);
+  task->work = deps_.action_runner;
+  return task;
+}
+
 TaskPtr RuleEngine::NewActionTask(const RuleDef& rule, Timestamp commit_time,
                                   Timestamp change_time,
                                   const TraceContext& parent_trace,
                                   BoundTableSet&& tables) {
-  auto task = std::make_shared<TaskControlBlock>(
-      deps_.task_ids->fetch_add(1, std::memory_order_relaxed));
-  task->release_time = commit_time + rule.delay_micros();
-  task->function_name = rule.function_name();
-  task->bound_tables = std::move(tables);
+  TaskPtr task = MakeActionTask(rule.function_name(),
+                                commit_time + rule.delay_micros(),
+                                std::move(tables));
   task->oldest_change_time = change_time;
   task->newest_change_time = change_time;
   // The firing continues the triggering transaction's causal trace; an
   // untraced trigger (ad-hoc SQL) starts a root here so the action and any
   // rules it cascades into still share one trace.
   task->trace = ChildOf(parent_trace);
-  task->work = deps_.action_runner;
   stats_.tasks_created.fetch_add(1, std::memory_order_relaxed);
   return task;
+}
+
+PendingActionTask RuleEngine::CaptureActionTask(TaskControlBlock& task,
+                                                Timestamp now) {
+  PendingActionTask p;
+  p.function_name = task.function_name;
+  p.is_unique = task.is_unique;
+  p.unique_key = task.unique_key;
+  p.remaining_delay = std::max<Timestamp>(0, task.release_time - now);
+  SpinLockGuard g(task.merge_lock);
+  p.batched_firings = task.batched_firings;
+  p.oldest_change_offset = task.oldest_change_time - now;
+  p.newest_change_offset = task.newest_change_time - now;
+  p.bound_tables = task.bound_tables.Clone();
+  return p;
+}
+
+Result<TaskPtr> RuleEngine::RestoreActionTask(const PendingActionTask& pending,
+                                              Timestamp now) {
+  // A change older than this clock's origin reads as having arrived at the
+  // origin: staleness is measured on the executor clock, which restarts.
+  const Timestamp oldest =
+      std::max<Timestamp>(0, now + pending.oldest_change_offset);
+  const Timestamp newest =
+      std::max<Timestamp>(0, now + pending.newest_change_offset);
+  auto make = [&](BoundTableSet&& tables) {
+    TaskPtr task = MakeActionTask(pending.function_name,
+                                  now + pending.remaining_delay,
+                                  std::move(tables));
+    task->batched_firings = pending.batched_firings;
+    task->oldest_change_time = oldest;
+    task->newest_change_time = newest;
+    task->trace = NewTraceContext();
+    return task;
+  };
+  if (!pending.is_unique) return make(pending.bound_tables.Clone());
+  return unique_.MergeOrCreate(
+      pending.function_name, pending.unique_key,
+      pending.bound_tables.Clone(), oldest, /*parent_trace_id=*/0,
+      [&](const std::vector<Value>&, BoundTableSet&& t) {
+        return make(std::move(t));
+      });
 }
 
 Status RuleEngine::FireRule(const RuleDef& rule, Transaction* txn,

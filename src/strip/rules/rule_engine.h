@@ -48,6 +48,23 @@ struct RuleStats {
   std::atomic<uint64_t> firings_merged{0};   // batched into a queued task
 };
 
+/// A delayed rule-action task lifted off the executor by a checkpoint, so
+/// its delay window (§2 `after`) and the firings batched into it (§6.3)
+/// survive a restart (DESIGN.md §2.6). Times are offsets from the capture
+/// instant: every process has its own executor clock.
+struct PendingActionTask {
+  std::string function_name;
+  bool is_unique = false;
+  std::vector<Value> unique_key;
+  Timestamp remaining_delay = 0;       // release time - capture time, >= 0
+  uint32_t batched_firings = 1;
+  Timestamp oldest_change_offset = 0;  // change time - capture time
+  Timestamp newest_change_offset = 0;
+  /// The task's bound tables in their own layout. Pointer slots hold the
+  /// record versions the task pinned (§6.1), not the tables' current rows.
+  BoundTableSet bound_tables;
+};
+
 /// The STRIP rule system (§2, §6.3). Holds rule definitions; at the end of
 /// each transaction (prior to commit) scans its log for triggering events,
 /// evaluates conditions, binds tables, and creates / merges action tasks.
@@ -79,6 +96,20 @@ class RuleEngine {
   Result<std::vector<TaskPtr>> ProcessCommit(Transaction* txn,
                                              Timestamp commit_time);
 
+  /// Copies a queued rule-action task at executor time `now`. Call only
+  /// while the task can neither start nor take merges (a checkpoint's
+  /// QuiesceAndVisit, with new transactions held off).
+  static PendingActionTask CaptureActionTask(TaskControlBlock& task,
+                                             Timestamp now);
+
+  /// Re-creates a captured task at executor time `now` and returns it for
+  /// the caller to submit. A unique task re-enters the unique directory
+  /// through MergeOrCreate, so later firings merge into it exactly as live
+  /// ones would; should the key already hold a queued task, the rows merge
+  /// into that one and nullptr is returned. Not counted in tasks_created.
+  Result<TaskPtr> RestoreActionTask(const PendingActionTask& pending,
+                                    Timestamp now);
+
   UniqueTxnManager& unique_manager() { return unique_; }
   const RuleStats& stats() const { return stats_; }
 
@@ -96,6 +127,10 @@ class RuleEngine {
                         Timestamp change_time,
                         const TraceContext& parent_trace,
                         BoundTableSet&& tables);
+
+  /// The task shell NewActionTask and RestoreActionTask share.
+  TaskPtr MakeActionTask(const std::string& function_name,
+                         Timestamp release_time, BoundTableSet&& tables);
 
   RuleEngineDeps deps_;
   // Definition order matters for deterministic processing; the paper notes

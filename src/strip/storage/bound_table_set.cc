@@ -42,6 +42,13 @@ Status BoundTableSet::MergeFrom(BoundTableSet&& other) {
   return Status::OK();
 }
 
+BoundTableSet BoundTableSet::Clone() const {
+  BoundTableSet out;
+  out.tables_.reserve(tables_.size());
+  for (const TempTable& t : tables_) out.tables_.push_back(t.Clone());
+  return out;
+}
+
 size_t BoundTableSet::TotalTuples() const {
   size_t n = 0;
   for (const auto& t : tables_) n += t.size();

@@ -37,6 +37,10 @@ class BoundTableSet {
   const std::vector<TempTable>& tables() const { return tables_; }
   std::vector<TempTable>& tables() { return tables_; }
 
+  /// Copies every table; the copies pin the same record versions (§6.1),
+  /// so the copy is as cheap as the RecordRefs it shares.
+  BoundTableSet Clone() const;
+
   /// Total number of tuples across all tables (batch size metric).
   size_t TotalTuples() const;
 

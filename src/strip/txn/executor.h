@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "strip/common/clock.h"
+#include "strip/common/status.h"
 #include "strip/txn/task.h"
 
 namespace strip {
@@ -40,6 +42,11 @@ struct ExecutorObs {
 /// Called after each task finishes (stats collection in benchmarks).
 using TaskObserver = std::function<void(const TaskControlBlock&)>;
 
+/// Receives every task an executor holds that has not started (see
+/// Executor::QuiesceAndVisit).
+using PendingTaskVisitor =
+    std::function<Status(const std::vector<TaskPtr>& pending)>;
+
 /// Abstract task execution service (§6.2 Figure 15): accepts tasks, parks
 /// future-released ones in a delay queue, orders eligible ones in a ready
 /// queue, runs them. Two implementations:
@@ -61,6 +68,13 @@ class Executor {
 
   /// Installs a per-task completion hook (may be empty).
   virtual void set_task_observer(TaskObserver observer) = 0;
+
+  /// The checkpoint's pause: holds back delayed-task releases, waits until
+  /// no task is ready or running, calls `visit` with every task still
+  /// queued, and resumes releases on every path, errors included. Returns
+  /// what `visit` returned. No task runs while `visit` does, so with new
+  /// transactions kept out by the caller it may read tables without locks.
+  virtual Status QuiesceAndVisit(const PendingTaskVisitor& visit) = 0;
 
   /// Installs the observability hooks. Call before the first Submit (the
   /// executors read the struct from worker threads without locking).

@@ -134,6 +134,12 @@ void SimulatedExecutor::RunUntil(Timestamp t) {
   Drain(t);
 }
 
+Status SimulatedExecutor::QuiesceAndVisit(const PendingTaskVisitor& visit) {
+  std::vector<TaskPtr> pending;
+  ForEachQueuedTask([&](const TaskPtr& t) { pending.push_back(t); });
+  return visit(pending);
+}
+
 void SimulatedExecutor::RunUntilQuiescent() {
   Drain(kNoDeadline);
 }

@@ -32,6 +32,9 @@ class SimulatedExecutor final : public Executor {
   void set_task_observer(TaskObserver observer) override {
     observer_ = std::move(observer);
   }
+  /// Nothing runs between steps, so there is nothing to wait for: visits
+  /// the delayed and the ready-but-unstarted tasks as they are.
+  Status QuiesceAndVisit(const PendingTaskVisitor& visit) override;
 
   VirtualClock& clock() { return clock_; }
 

@@ -24,6 +24,15 @@ using TaskFn = std::function<Status(TaskControlBlock&)>;
 
 constexpr Timestamp kNoDeadline = std::numeric_limits<Timestamp>::max();
 
+/// Who made a task. A checkpoint keeps delayed rule actions, skips armed
+/// periodic ticks (the bootstrap re-creates periodic jobs at boot) and
+/// refuses any other delayed task; Drain() does not wait for armed ticks.
+enum class TaskKind : uint8_t {
+  kApplication,   // submitted by application code
+  kRuleAction,    // a rule's action transaction (RuleEngine)
+  kPeriodicTick,  // one tick of a self-re-arming periodic job (Database)
+};
+
 /// Task control block (§6.2-6.3): the unit of scheduling in STRIP. Tasks
 /// flow through the delay queue (future release time), ready queue, and a
 /// process pool. Rule-triggered tasks additionally carry bound tables, the
@@ -42,6 +51,8 @@ class TaskControlBlock {
   Timestamp release_time = 0;      // earliest start (delay window, §2)
   Timestamp deadline = kNoDeadline;  // for earliest-deadline-first
   double value = 1.0;                // for value-density-first
+
+  TaskKind kind = TaskKind::kApplication;
 
   // --- rule-task payload ------------------------------------------------
   /// User function this task runs ("" for plain application tasks).

@@ -38,9 +38,16 @@ void ThreadedExecutor::Submit(TaskPtr task) {
     }
     {
       std::lock_guard<std::mutex> lk(delay_mu_);
+      if (task->kind == TaskKind::kPeriodicTick) ++delayed_ticks_;
       delay_.Push(std::move(task));
     }
     delay_cv_.notify_all();
+    // A parked task can complete a waiter's predicate (a job scheduled
+    // from outside any task while Drain() waits).
+    if (drain_waiters_.load() > 0) {
+      std::lock_guard<std::mutex> lk(drain_mu_);
+      drain_cv_.notify_all();
+    }
   } else {
     PushReady(std::move(task));
   }
@@ -90,8 +97,11 @@ size_t ThreadedExecutor::PopBatch(size_t home, std::vector<TaskPtr>& out) {
 }
 
 void ThreadedExecutor::TaskDone() {
-  if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Pair with Drain()'s predicate check under drain_mu_.
+  // Waiters want "only parked tasks left", which need not be zero, so any
+  // waiter is woken. Both operations are sequentially consistent (on x86
+  // the same instructions as acq_rel / relaxed): a waiter that missed this
+  // decrement registered itself before this load, and is notified.
+  if (in_flight_.fetch_sub(1) == 1 || drain_waiters_.load() > 0) {
     std::lock_guard<std::mutex> lk(drain_mu_);
     drain_cv_.notify_all();
   }
@@ -143,7 +153,7 @@ void ThreadedExecutor::TimerLoop() {
   for (;;) {
     if (shutdown_.load(std::memory_order_acquire)) return;
     Timestamp next = delay_.NextRelease();
-    if (next == kNoDeadline) {
+    if (next == kNoDeadline || releases_paused_ > 0) {
       delay_cv_.wait(lk);
       continue;
     }
@@ -155,6 +165,9 @@ void ThreadedExecutor::TimerLoop() {
       continue;
     }
     std::vector<TaskPtr> due = delay_.PopReleased(now);
+    for (const TaskPtr& t : due) {
+      if (t->kind == TaskKind::kPeriodicTick) --delayed_ticks_;
+    }
     lk.unlock();
     for (TaskPtr& t : due) {
       PushReady(std::move(t));
@@ -163,11 +176,46 @@ void ThreadedExecutor::TimerLoop() {
   }
 }
 
-void ThreadedExecutor::Drain() {
+void ThreadedExecutor::WaitUntilParked(bool ticks_only) {
   std::unique_lock<std::mutex> lk(drain_mu_);
-  drain_cv_.wait(lk, [this] {
-    return in_flight_.load(std::memory_order_acquire) == 0;
+  drain_waiters_.fetch_add(1);
+  drain_cv_.wait(lk, [&] {
+    // Under delay_mu_ the parked count is exact; Submit counts a task in
+    // flight before it parks, so a task on its way in reads as unparked.
+    std::lock_guard<std::mutex> dl(delay_mu_);
+    const size_t parked = ticks_only ? delayed_ticks_ : delay_.size();
+    return in_flight_.load() == static_cast<int64_t>(parked);
   });
+  drain_waiters_.fetch_sub(1);
+}
+
+void ThreadedExecutor::Drain() { WaitUntilParked(/*ticks_only=*/true); }
+
+Status ThreadedExecutor::QuiesceAndVisit(const PendingTaskVisitor& visit) {
+  {
+    std::lock_guard<std::mutex> lk(delay_mu_);
+    ++releases_paused_;
+  }
+  // Resumes releases however this returns; tasks that came due during the
+  // pause are promoted at once.
+  struct Resume {
+    ThreadedExecutor* ex;
+    ~Resume() {
+      {
+        std::lock_guard<std::mutex> lk(ex->delay_mu_);
+        --ex->releases_paused_;
+      }
+      ex->delay_cv_.notify_all();
+    }
+  } resume{this};
+  WaitUntilParked(/*ticks_only=*/false);
+  std::vector<TaskPtr> pending;
+  {
+    std::lock_guard<std::mutex> lk(delay_mu_);
+    pending.reserve(delay_.size());
+    delay_.ForEach([&](const TaskPtr& t) { pending.push_back(t); });
+  }
+  return visit(pending);
 }
 
 void ThreadedExecutor::Shutdown() {

@@ -27,8 +27,9 @@ namespace strip {
 ///   - A dedicated timer thread owns the delay queue and promotes due
 ///     tasks into the ready shards, so workers never touch the delay heap.
 ///   - ExecutorStats are relaxed atomics folded in by the executing worker.
-///   - Drain() watches a single atomic in-flight counter (submitted tasks
-///     not yet finished, wherever they sit), not the queue structures.
+///   - Drain() and QuiesceAndVisit() watch a single atomic in-flight
+///     counter (submitted tasks not yet finished, wherever they sit) and
+///     compare it with the delay queue's size, not the queue structures.
 ///
 /// Scheduling-policy ordering is preserved per shard; across shards it is
 /// approximate (as in any multi-queue scheduler). With one worker there is
@@ -46,11 +47,16 @@ class ThreadedExecutor final : public Executor {
   Timestamp Now() const override { return clock_.Now(); }
   const ExecutorStats& stats() const override { return stats_; }
   void set_task_observer(TaskObserver observer) override;
+  /// Pauses the timer thread, then waits only for tasks that are ready or
+  /// running — with idle workers that takes microseconds, not a delay
+  /// window — and visits the delayed ones.
+  Status QuiesceAndVisit(const PendingTaskVisitor& visit) override;
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
   /// Blocks until every submitted task (including tasks they spawn) has
-  /// finished and the queues are empty.
+  /// finished, except armed periodic ticks: each tick re-arms the next, so
+  /// a job never leaves the delay queue until it is cancelled.
   void Drain();
 
   /// Stops accepting work and joins workers. Ready tasks still queued are
@@ -79,8 +85,12 @@ class ThreadedExecutor final : public Executor {
   size_t PopBatch(size_t home, std::vector<TaskPtr>& out);
 
   /// Marks one submitted task as finished (run, dropped, or merged-dead)
-  /// and wakes Drain() when the in-flight count reaches zero.
+  /// and wakes Drain() / QuiesceAndVisit() waiters.
   void TaskDone();
+
+  /// Blocks until every in-flight task sits in the delay queue (and, with
+  /// `ticks_only`, is a periodic tick).
+  void WaitUntilParked(bool ticks_only);
 
   RealClock clock_;
   const size_t dequeue_batch_;
@@ -94,13 +104,16 @@ class ThreadedExecutor final : public Executor {
   std::mutex delay_mu_;
   std::condition_variable delay_cv_;      // timer thread waits here
   DelayQueue delay_;
+  size_t delayed_ticks_ = 0;              // periodic ticks in delay_
+  int releases_paused_ = 0;               // QuiesceAndVisit calls inside
 
   std::mutex idle_mu_;
   std::condition_variable work_cv_;       // idle workers wait here
   std::atomic<int> num_idle_{0};
 
   std::mutex drain_mu_;
-  std::condition_variable drain_cv_;      // Drain() waits here
+  std::condition_variable drain_cv_;      // WaitUntilParked() waits here
+  std::atomic<int> drain_waiters_{0};
 
   std::mutex observer_mu_;
   TaskObserver observer_;

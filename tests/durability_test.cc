@@ -6,18 +6,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "strip/common/byteio.h"
+#include "strip/common/crc32.h"
 #include "strip/common/logging.h"
 #include "strip/durability/durable_log.h"
 #include "strip/durability/snapshot.h"
 #include "strip/durability/wal.h"
 #include "strip/feed/wire.h"
+#include "strip/viewmaint/rule_gen.h"
 #include "tests/test_util.h"
 
 namespace strip {
@@ -284,6 +292,64 @@ std::vector<std::vector<Value>> Rows(Database& db, const std::string& sql) {
   return rs->rows;
 }
 
+Database::Options Threaded() {
+  Database::Options o;
+  o.mode = ExecutorMode::kThreaded;
+  o.num_workers = 2;
+  return o;
+}
+
+// The server's demo schema with its generated maintenance rules, plus a
+// rule whose bound table reads `price` through a pointer to the quotes
+// record its firing saw (§6.1), all batched per symbol over a
+// `delay_seconds` window: the unique rule-action tasks a checkpoint
+// captures. `note_prices` logs every price its batch saw.
+Status ViewSetup(Database& db, double delay_seconds) {
+  STRIP_RETURN_IF_ERROR(db.ExecuteScript(R"(
+    create table quotes (symbol string, price double);
+    create index on quotes (symbol);
+    create table seen_log (symbol string, price double);
+    create materialized view quote_stats as
+      select symbol, sum(price) as total, count(*) as n
+      from quotes group by symbol;
+  )"));
+  STRIP_RETURN_IF_ERROR(db.RegisterFunction(
+      "note_prices", [](FunctionContext& ctx) -> Status {
+        const TempTable* seen = ctx.BoundTable("seen");
+        STRIP_ASSIGN_OR_RETURN(
+            PreparedStatementPtr insert,
+            ctx.db().Prepare("insert into seen_log values (?, ?)"));
+        for (size_t r = 0; r < seen->size(); ++r) {
+          STRIP_RETURN_IF_ERROR(
+              ctx.Exec(*insert, {seen->Get(r, 0), seen->Get(r, 1)})
+                  .status());
+        }
+        return Status::OK();
+      }));
+  STRIP_RETURN_IF_ERROR(db.Execute(StrFormat(R"(
+    create rule observe on quotes when updated
+      if select n.symbol as symbol, q.price as price
+           from new n, quotes q where q.symbol = n.symbol
+         bind as seen
+      then execute note_prices unique on symbol after %g seconds
+  )", delay_seconds)).status());
+  RuleGenOptions gen;
+  gen.delay_seconds = delay_seconds;
+  return GenerateMaintenanceRule(db, "quote_stats", "quotes", gen).status();
+}
+
+std::vector<std::vector<Value>> Stats(Database& db) {
+  return Rows(db, "select symbol, total, n from quote_stats order by symbol");
+}
+
+std::vector<std::vector<Value>> SeenLog(Database& db) {
+  return Rows(db, "select symbol, price from seen_log order by symbol, price");
+}
+
+uint64_t Merged(Database& db) {
+  return db.rules().stats().firings_merged.load();
+}
+
 TEST(SnapshotTest, RoundTripRestoresEveryRow) {
   TempDir dir;
   Database db(LogicalTime());
@@ -292,7 +358,7 @@ TEST(SnapshotTest, RoundTripRestoresEveryRow) {
   ASSERT_OK(db.Execute("insert into quotes values ('hp', 20.25)").status());
   ASSERT_OK(db.Execute("insert into counts values ('a', 7)").status());
 
-  SnapshotData snap = CaptureSnapshot(db, 42);
+  ASSERT_OK_AND_ASSIGN(SnapshotData snap, CaptureSnapshot(db, 42));
   EXPECT_EQ(snap.lsn, 42u);
   std::string path = dir.path("state.snap");
   ASSERT_OK(WriteSnapshot(snap, path));
@@ -312,10 +378,12 @@ TEST(SnapshotTest, RoundTripRestoresEveryRow) {
 TEST(SnapshotTest, EveryBodyByteFlipIsRejected) {
   TempDir dir;
   Database db(LogicalTime());
-  ASSERT_OK(db.ExecuteScript(kSchema));
+  ASSERT_OK(ViewSetup(db, 5.0));
   ASSERT_OK(db.Execute("insert into quotes values ('ibm', 50.5)").status());
   std::string path = dir.path("state.snap");
-  ASSERT_OK(WriteSnapshot(CaptureSnapshot(db, 1), path));
+  ASSERT_OK_AND_ASSIGN(SnapshotData snap, CaptureSnapshot(db, 1));
+  ASSERT_FALSE(snap.tasks.empty());  // the body carries a pending task
+  ASSERT_OK(WriteSnapshot(snap, path));
   std::string good = ReadFile(path);
 
   // Header: magic + version + lsn + body length + CRC = 24 bytes; the CRC
@@ -344,6 +412,109 @@ TEST(SnapshotTest, EveryBodyByteFlipIsRejected) {
   }
 }
 
+TEST(SnapshotTest, PendingTasksRoundTripWithTheirPinnedVersions) {
+  TempDir dir;
+  Database db(LogicalTime());
+  ASSERT_OK(ViewSetup(db, 5.0));
+  ASSERT_OK(db.Execute("insert into quotes values ('ibm', 50.5)").status());
+  ASSERT_OK(db.Execute("update quotes set price = 60.0 where symbol = 'ibm'")
+                .status());
+  ASSERT_OK(db.Execute("update quotes set price = 70.0 where symbol = 'ibm'")
+                .status());
+  ASSERT_OK(db.Execute("insert into quotes values ('hp', 20.25)").status());
+  db.simulated()->RunUntil(SecondsToMicros(1.0));
+  ASSERT_OK_AND_ASSIGN(SnapshotData snap, CaptureSnapshot(db, 3));
+  ASSERT_GE(snap.tasks.size(), 2u);
+  std::string path = dir.path("state.snap");
+  ASSERT_OK(WriteSnapshot(snap, path));
+  ASSERT_OK_AND_ASSIGN(SnapshotData loaded, LoadSnapshot(path));
+  ASSERT_EQ(loaded.tasks.size(), snap.tasks.size());
+
+  bool saw_superseded_version = false;
+  for (size_t i = 0; i < snap.tasks.size(); ++i) {
+    const PendingActionTask& want = snap.tasks[i];
+    const PendingActionTask& got = loaded.tasks[i];
+    EXPECT_EQ(got.function_name, want.function_name);
+    EXPECT_EQ(got.is_unique, want.is_unique);
+    EXPECT_EQ(got.unique_key, want.unique_key);
+    EXPECT_EQ(got.remaining_delay, SecondsToMicros(4.0));
+    EXPECT_EQ(got.remaining_delay, want.remaining_delay);
+    EXPECT_EQ(got.batched_firings, want.batched_firings);
+    EXPECT_EQ(got.oldest_change_offset, want.oldest_change_offset);
+    EXPECT_EQ(got.newest_change_offset, want.newest_change_offset);
+    ASSERT_EQ(got.bound_tables.size(), want.bound_tables.size());
+    for (size_t t = 0; t < want.bound_tables.size(); ++t) {
+      const TempTable& w = want.bound_tables.tables()[t];
+      const TempTable& g = got.bound_tables.tables()[t];
+      // The same layout, so a live firing's MergeFrom still accepts it.
+      EXPECT_EQ(g.name(), w.name());
+      EXPECT_TRUE(g.schema().Equals(w.schema()));
+      EXPECT_EQ(g.column_map(), w.column_map());
+      EXPECT_EQ(g.num_slots(), w.num_slots());
+      EXPECT_EQ(g.num_extra(), w.num_extra());
+      ASSERT_EQ(g.size(), w.size());
+      for (size_t r = 0; r < w.size(); ++r) {
+        EXPECT_EQ(g.MaterializeRow(r), w.MaterializeRow(r));
+        for (size_t sl = 0; sl < w.tuples()[r].slots.size(); ++sl) {
+          const RecordRef& wr = w.tuples()[r].slots[sl];
+          const RecordRef& gr = g.tuples()[r].slots[sl];
+          ASSERT_EQ(gr == nullptr, wr == nullptr);
+          if (wr == nullptr) continue;
+          EXPECT_EQ(gr->values, wr->values);
+          EXPECT_NE(gr, wr);  // a fresh record, attached to no table
+          if (wr->values[1] == Value::Double(60.0)) {
+            saw_superseded_version = true;
+          }
+        }
+      }
+    }
+  }
+  // The table holds ibm at 70.0; the first update's firing keeps the 60.0
+  // version it pinned (§6.1).
+  EXPECT_TRUE(saw_superseded_version);
+}
+
+TEST(SnapshotTest, VersionOneSnapshotStillLoads) {
+  TempDir dir;
+  // A version-1 file as the previous format wrote it: tables only, with no
+  // pending-task section.
+  std::string body;
+  PutU32(1, &body);
+  PutLengthPrefixed("quotes", &body);
+  PutU32(2, &body);
+  PutLengthPrefixed("symbol", &body);
+  PutU8(static_cast<uint8_t>(ValueType::kString), &body);
+  PutLengthPrefixed("price", &body);
+  PutU8(static_cast<uint8_t>(ValueType::kDouble), &body);
+  PutU64(1, &body);
+  AppendValue(Value::Str("ibm"), &body);
+  AppendValue(Value::Double(50.5), &body);
+  std::string file;
+  PutU32(kSnapshotMagic, &file);
+  PutU32(1, &file);
+  PutU64(7, &file);
+  PutU32(static_cast<uint32_t>(body.size()), &file);
+  PutU32(Crc32(body), &file);
+  file += body;
+  std::string path = dir.path("state.snap");
+  WriteFile(path, file);
+
+  ASSERT_OK_AND_ASSIGN(SnapshotData loaded, LoadSnapshot(path));
+  EXPECT_EQ(loaded.lsn, 7u);
+  EXPECT_TRUE(loaded.tasks.empty());
+  Database db(LogicalTime());
+  ASSERT_OK(db.ExecuteScript(kSchema));
+  ASSERT_OK(RestoreSnapshot(db, loaded));
+  EXPECT_EQ(Rows(db, "select * from quotes"),
+            (std::vector<std::vector<Value>>{
+                {Value::Str("ibm"), Value::Double(50.5)}}));
+
+  // Read as version 2 the same body lacks its task count: refused.
+  file[4] = 2;
+  WriteFile(path, file);
+  EXPECT_FALSE(LoadSnapshot(path).ok());
+}
+
 TEST(SnapshotTest, MissingFileIsNotFound) {
   TempDir dir;
   auto r = LoadSnapshot(dir.path("absent.snap"));
@@ -355,7 +526,7 @@ TEST(SnapshotTest, RestoreRejectsMismatchedSchemaAndNonEmptyTables) {
   Database db(LogicalTime());
   ASSERT_OK(db.ExecuteScript(kSchema));
   ASSERT_OK(db.Execute("insert into quotes values ('ibm', 50.5)").status());
-  SnapshotData snap = CaptureSnapshot(db, 1);
+  ASSERT_OK_AND_ASSIGN(SnapshotData snap, CaptureSnapshot(db, 1));
 
   // Same table names, different column type: loud failure, not a zip.
   Database mismatched(LogicalTime());
@@ -389,9 +560,13 @@ TEST(SnapshotTest, RestoreRejectsMismatchedSchemaAndNonEmptyTables) {
 
 class DurableDb {
  public:
-  explicit DurableDb(const std::string& dir)
-      : db_(LogicalTime()), log_(DurableLog::Options{dir}) {
-    Status st = db_.ExecuteScript(kSchema);
+  /// `setup` builds the schema and rules, as a server's schema script and
+  /// bootstrap would (default: kSchema).
+  explicit DurableDb(const std::string& dir,
+                     Database::Options options = LogicalTime(),
+                     const std::function<Status(Database&)>& setup = nullptr)
+      : db_(options), log_(DurableLog::Options{dir}) {
+    Status st = setup ? setup(db_) : db_.ExecuteScript(kSchema);
     STRIP_CHECK_MSG(st.ok(), "schema failed");
     auto imp = FeedImporter::Create(&db_, "quotes");
     STRIP_CHECK_MSG(imp.ok(), "importer failed");
@@ -456,7 +631,9 @@ TEST(DurableLogTest, CrashReplayCheckpointAndTailRecovery) {
     EXPECT_EQ(d.stats().next_lsn, 4u);
     EXPECT_EQ(d.Table(), live_rows);
 
-    ASSERT_OK_AND_ASSIGN(checkpoint_lsn, d.log().Checkpoint(d.db()));
+    ASSERT_OK_AND_ASSIGN(DurableLog::CheckpointStats cp,
+                         d.log().Checkpoint(d.db()));
+    checkpoint_lsn = cp.lsn;
     EXPECT_EQ(checkpoint_lsn, 3u);
     EXPECT_EQ(d.log().wal_bytes(), 0u);  // snapshot absorbed the log
 
@@ -474,6 +651,162 @@ TEST(DurableLogTest, CrashReplayCheckpointAndTailRecovery) {
     EXPECT_EQ(d.stats().next_lsn, 5u);
     EXPECT_EQ(d.Table(), live_rows);
   }
+}
+
+// A checkpoint inside open delay windows captures the pending unique
+// tasks instead of running them. After a crash, recovery restores them with
+// their remaining delay and replays the WAL tail into them, so the derived
+// state and the batching both equal those of an engine that never crashed.
+TEST(DurableLogTest, CheckpointCapturesPendingUniqueTasksAcrossACrash) {
+  TempDir dir;
+  TempDir twin_dir;
+  auto setup = [](Database& db) { return ViewSetup(db, 5.0); };
+  using Batches = std::vector<std::pair<std::string, uint32_t>>;
+  auto record_batches = [](Batches* out) {
+    return [out](const TaskControlBlock& t) {
+      if (t.kind == TaskKind::kRuleAction) {
+        out->emplace_back(t.function_name, t.batched_firings);
+      }
+    };
+  };
+  auto at = [](DurableDb& d, double seconds) {
+    d.db().simulated()->RunUntil(SecondsToMicros(seconds));
+  };
+
+  DurableDb twin(twin_dir.path(), LogicalTime(), setup);
+  ASSERT_OK(twin.Recover());
+  Batches twin_batches;
+  twin.db().executor().set_task_observer(record_batches(&twin_batches));
+
+  size_t captured = 0;
+  uint64_t merged_at_checkpoint = 0;
+  {
+    DurableDb d(dir.path(), LogicalTime(), setup);
+    ASSERT_OK(d.Recover());
+    for (DurableDb* e : {&d, &twin}) {
+      ASSERT_OK(e->Ingest(Rec("ibm", 50.0)));
+      ASSERT_OK(e->Ingest(Rec("hp", 20.0)));
+      at(*e, 1.0);
+      ASSERT_OK(e->Ingest(Rec("ibm", 51.0)));
+      ASSERT_OK(e->Ingest(Rec("hp", 21.0)));
+      // Merges into ibm's queued tasks, and supersedes the record version
+      // the first update's firing pinned (§6.1).
+      ASSERT_OK(e->Ingest(Rec("ibm", 51.5)));
+    }
+    ASSERT_OK_AND_ASSIGN(DurableLog::CheckpointStats cp,
+                         d.log().Checkpoint(d.db()));
+    EXPECT_EQ(cp.lsn, 5u);
+    captured = cp.pending_tasks;
+    EXPECT_GE(captured, 2u);
+    merged_at_checkpoint = Merged(twin.db());
+    EXPECT_GE(merged_at_checkpoint, 1u);
+    EXPECT_EQ(Merged(d.db()), merged_at_checkpoint);
+    // Past the checkpoint, inside the open windows; then the crash: no
+    // final checkpoint, and not one task has run.
+    for (DurableDb* e : {&d, &twin}) {
+      at(*e, 2.0);
+      ASSERT_OK(e->Ingest(Rec("ibm", 52.0)));
+      ASSERT_OK(e->Ingest(Rec("sun", 13.0)));
+      ASSERT_OK(e->Ingest(Rec("hp", 22.0)));
+    }
+    EXPECT_TRUE(Stats(d.db()).empty());
+    EXPECT_TRUE(SeenLog(d.db()).empty());
+  }
+
+  DurableDb d(dir.path(), LogicalTime(), setup);
+  Batches batches;
+  d.db().executor().set_task_observer(record_batches(&batches));
+  ASSERT_OK(d.Recover());
+  EXPECT_TRUE(d.stats().snapshot_loaded);
+  EXPECT_EQ(d.stats().snapshot_tasks, captured);
+  EXPECT_EQ(d.stats().entries_replayed, 3u);
+  // The restored windows keep the 4 s they had left.
+  at(d, 3.9);
+  EXPECT_TRUE(batches.empty());
+  d.db().simulated()->RunUntilQuiescent();
+  twin.db().simulated()->RunUntilQuiescent();
+
+  EXPECT_EQ(d.Table(), twin.Table());
+  ASSERT_EQ(Stats(twin.db()).size(), 3u);
+  EXPECT_EQ(Stats(d.db()), Stats(twin.db()));
+  // Each firing logged the price it saw, superseded versions included.
+  ASSERT_EQ(SeenLog(twin.db()).size(), 5u);
+  EXPECT_EQ(SeenLog(d.db()), SeenLog(twin.db()));
+  // The tail's firings merged into the restored tasks as they did live.
+  EXPECT_EQ(Merged(d.db()), Merged(twin.db()) - merged_at_checkpoint);
+  std::sort(batches.begin(), batches.end());
+  std::sort(twin_batches.begin(), twin_batches.end());
+  EXPECT_EQ(batches, twin_batches);
+}
+
+// A snapshot write that fails (here open(), made to fail even as root by a
+// directory in the temp file's place) fails the checkpoint and changes
+// nothing: the WAL is kept, the executor runs on, and the next checkpoint
+// succeeds.
+TEST(DurableLogTest, FailedSnapshotWriteKeepsTheWalAndThePendingTasks) {
+  TempDir dir;
+  auto setup = [](Database& db) { return ViewSetup(db, 1.0); };
+  {
+    DurableDb d(dir.path(), Threaded(), setup);
+    ASSERT_OK(d.Recover());
+    ASSERT_OK(d.Ingest(Rec("ibm", 50.0)));
+    ASSERT_OK(d.Ingest(Rec("hp", 20.0)));
+    const uint64_t wal_bytes = d.log().wal_bytes();
+    ASSERT_GT(wal_bytes, 0u);
+
+    fs::create_directory(dir.path("state.snap.tmp"));
+    auto failed = d.log().Checkpoint(d.db());
+    EXPECT_FALSE(failed.ok());
+    EXPECT_FALSE(fs::exists(dir.path("state.snap")));
+    EXPECT_EQ(d.log().wal_bytes(), wal_bytes);
+    EXPECT_EQ(ReadFile(d.log().wal_path()).size(), wal_bytes);
+    // Resumed: the pending tasks fire when their windows close.
+    ReturnsWithin(std::chrono::seconds(20), "Drain",
+                  [&] { d.db().threaded()->Drain(); });
+    EXPECT_EQ(Stats(d.db()).size(), 2u);
+
+    fs::remove(dir.path("state.snap.tmp"));
+    ASSERT_OK(d.Ingest(Rec("sun", 13.0)));
+    ASSERT_OK_AND_ASSIGN(DurableLog::CheckpointStats cp,
+                         d.log().Checkpoint(d.db()));
+    EXPECT_EQ(cp.lsn, 3u);
+    EXPECT_EQ(d.log().wal_bytes(), 0u);
+  }
+  // Whether sun's task ran before that checkpoint or was captured in it,
+  // recovery ends in the same state.
+  DurableDb d(dir.path(), Threaded(), setup);
+  ASSERT_OK(d.Recover());
+  ReturnsWithin(std::chrono::seconds(20), "Drain",
+                [&] { d.db().threaded()->Drain(); });
+  EXPECT_EQ(Stats(d.db()).size(), 3u);
+}
+
+// A delayed task the snapshot cannot re-create fails the checkpoint, which
+// writes nothing; the task is refused, not dropped.
+TEST(DurableLogTest, CheckpointRefusesADelayedTaskItCannotCapture) {
+  TempDir dir;
+  DurableDb d(dir.path(), Threaded());
+  ASSERT_OK(d.Recover());
+  ASSERT_OK(d.Ingest(Rec("ibm", 50.0)));
+  std::atomic<bool> ran{false};
+  TaskPtr app = d.db().NewTask();
+  app->release_time = d.db().Now() + SecondsToMicros(0.2);
+  app->work = [&](TaskControlBlock&) {
+    ran = true;
+    return Status::OK();
+  };
+  d.db().Submit(app);
+
+  auto cp = d.log().Checkpoint(d.db());
+  ASSERT_FALSE(cp.ok());
+  EXPECT_EQ(cp.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(fs::exists(dir.path("state.snap")));
+  EXPECT_FALSE(fs::exists(dir.path("state.snap.tmp")));
+  EXPECT_GT(d.log().wal_bytes(), 0u);
+  ReturnsWithin(std::chrono::seconds(20), "Drain",
+                [&] { d.db().threaded()->Drain(); });
+  EXPECT_TRUE(ran.load());
+  EXPECT_OK(d.log().Checkpoint(d.db()).status());
 }
 
 TEST(DurableLogTest, TornTailIsDiscardedAndLogReopensCleanly) {

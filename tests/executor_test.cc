@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
 
 #include "strip/txn/simulated_executor.h"
 #include "strip/txn/task_queues.h"
@@ -271,6 +274,59 @@ TEST(ThreadedExecutorTest, WorkersRunConcurrently) {
   }
   ex.Drain();
   EXPECT_GT(peak.load(), 1);  // at least two workers overlapped
+  ex.Shutdown();
+}
+
+TEST(ThreadedExecutorTest, DrainDoesNotWaitForArmedPeriodicTicks) {
+  ThreadedExecutor ex(1);
+  // An armed tick of a periodic job: each tick re-arms the next, so the
+  // job never leaves the delay queue and Drain must not wait for it.
+  auto tick = MakeTask(1, ex.Now() + SecondsToMicros(60));
+  tick->kind = TaskKind::kPeriodicTick;
+  ex.Submit(tick);
+  std::atomic<bool> ran{false};
+  auto t = MakeTask(2, ex.Now() + SecondsToMicros(0.02));
+  t->work = [&](TaskControlBlock&) {
+    ran = true;
+    return Status::OK();
+  };
+  ex.Submit(t);
+  ReturnsWithin(std::chrono::seconds(10), "Drain", [&] { ex.Drain(); });
+  EXPECT_TRUE(ran.load());  // every other delayed task is still waited for
+  ex.Shutdown();
+}
+
+TEST(ThreadedExecutorTest, QuiesceWaitsForRunningTasksAndHoldsDelayedOnes) {
+  ThreadedExecutor ex(2);
+  std::atomic<bool> slow_done{false};
+  std::atomic<bool> delayed_ran{false};
+  auto slow = MakeTask(1);
+  slow->work = [&](TaskControlBlock&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    slow_done = true;
+    return Status::OK();
+  };
+  auto delayed = MakeTask(2, ex.Now() + SecondsToMicros(0.02));
+  delayed->work = [&](TaskControlBlock&) {
+    delayed_ran = true;
+    return Status::OK();
+  };
+  ex.Submit(slow);
+  ex.Submit(delayed);
+  std::vector<uint64_t> visited;
+  Status st = ex.QuiesceAndVisit([&](const std::vector<TaskPtr>& pending) {
+    EXPECT_TRUE(slow_done.load());  // the running task finished first
+    for (const TaskPtr& t : pending) visited.push_back(t->id());
+    // The delayed task came due during the pause and is still held back.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(delayed_ran.load());
+    return Status::Internal("visit failed");
+  });
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  EXPECT_EQ(visited, std::vector<uint64_t>{2});
+  // The failed visit still resumed releases.
+  ReturnsWithin(std::chrono::seconds(10), "Drain", [&] { ex.Drain(); });
+  EXPECT_TRUE(delayed_ran.load());
   ex.Shutdown();
 }
 

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -398,6 +399,62 @@ TEST(NetTest, ShutdownOpStopsTheServer) {
 // Admission control end to end: a view-maintenance rule with a delay
 // window gives the watchdog staleness signal, an absurdly tight SLO trips
 // it, and low-priority work gets shed while normal priority keeps flowing.
+// A failed recovery is an error from Start, not a process abort: the
+// teardown of the half-built server must not checkpoint a log that never
+// opened.
+TEST(NetTest, CorruptSnapshotFailsStartWithoutAborting) {
+  TempDir dir;
+  {
+    std::ofstream snap(dir.path() + "/state.snap", std::ios::binary);
+    snap << "not a snapshot at all, just some bytes";
+  }
+  ServerOptions opts = BaseOptions();
+  opts.data_dir = dir.path();
+  auto server = Server::Start(opts);
+  ASSERT_FALSE(server.ok());
+  EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A periodic job re-arms itself forever, so a drain that waited for every
+// delayed task would never return — not in Start (recovery drains), not in
+// a checkpoint, an admin drain or Stop.
+TEST(NetTest, PeriodicJobDoesNotHangStartCheckpointDrainOrStop) {
+  TempDir dir;
+  ServerOptions opts = BaseOptions();
+  opts.schema_sql = std::string(kSchema) + "create table ticks (n int);";
+  opts.data_dir = dir.path();
+  opts.bootstrap = [](Database& db) -> Status {
+    STRIP_RETURN_IF_ERROR(db.RegisterFunction(
+        "tick", [](FunctionContext& ctx) {
+          return ctx.Exec("insert into ticks values (1)").status();
+        }));
+    return db.SchedulePeriodic("tick_job", 0.05, "tick");
+  };
+  const auto limit = std::chrono::seconds(10);
+  std::unique_ptr<Server> server;
+  ReturnsWithin(limit, "Server::Start", [&] {
+    auto started = Server::Start(opts);
+    STRIP_CHECK_MSG(started.ok(), "server start failed");
+    server = started.take();
+  });
+  ASSERT_OK_AND_ASSIGN(auto client,
+                       Client::Connect("127.0.0.1", server->port()));
+  ASSERT_OK(client->FeedAppend("quotes", {Rec("ibm", 1.0)}).status());
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  ReturnsWithin(limit, "admin checkpoint", [&] {
+    EXPECT_OK(client->Admin(AdminOp::kCheckpoint).status());
+  });
+  ReturnsWithin(limit, "Server::Checkpoint",
+                [&] { EXPECT_OK(server->Checkpoint().status()); });
+  ReturnsWithin(limit, "admin drain", [&] {
+    EXPECT_OK(client->Admin(AdminOp::kDrain).status());
+  });
+  auto ticks = server->db().Execute("select count(*) as n from ticks");
+  ASSERT_OK(ticks.status());
+  EXPECT_GE(ticks->rows[0][0].as_int(), 1);
+  ReturnsWithin(limit, "Server::Stop", [&] { server->Stop(); });
+}
+
 TEST(NetTest, ShedRefusesLowPriorityWorkUnderOverload) {
   ServerOptions opts = BaseOptions();
   opts.schema_sql = R"(

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "strip/engine/database.h"
 #include "strip/viewmaint/view_def.h"
 #include "tests/test_util.h"
@@ -114,6 +117,27 @@ TEST(PeriodicTest, FailedTickDoesNotKillTheJob) {
   auto rs = db.Execute("select count(*) as n from ticks");
   ASSERT_OK(rs.status());
   EXPECT_EQ(rs->rows[0][0], Value::Int(2));  // ticks 2 and 3 succeeded
+}
+
+TEST(PeriodicTest, ThreadedDrainReturnsWhileAJobIsArmed) {
+  Database::Options o;
+  o.mode = ExecutorMode::kThreaded;
+  o.num_workers = 2;
+  Database db(o);
+  ASSERT_OK(db.ExecuteScript("create table ticks (at int)"));
+  ASSERT_OK(db.RegisterFunction("tick", [](FunctionContext& ctx) {
+    return ctx.Exec("insert into ticks values (1)").status();
+  }));
+  ASSERT_OK(db.SchedulePeriodic("job", 0.02, "tick"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // The job re-arms itself forever; Drain waits for a running tick, not
+  // for the next armed one.
+  ReturnsWithin(std::chrono::seconds(10), "Drain",
+                [&] { db.threaded()->Drain(); });
+  ASSERT_OK(db.CancelPeriodic("job"));
+  auto rs = db.Execute("select count(*) as n from ticks");
+  ASSERT_OK(rs.status());
+  EXPECT_GE(rs->rows[0][0].as_int(), 1);
 }
 
 }  // namespace

@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
+#include <thread>
+
 #include "strip/common/status.h"
 
 #define ASSERT_OK(expr)                              \
@@ -25,5 +32,30 @@
   auto tmp = (expr);                                     \
   ASSERT_TRUE(tmp.ok()) << tmp.status().ToString();      \
   lhs = tmp.take()
+
+namespace strip {
+
+/// Runs `fn` on its own thread and waits up to `limit` for it to return.
+/// A call that hangs can be neither joined nor cancelled, so on timeout
+/// the test process exits with a failure instead of running into ctest's
+/// own, much longer, timeout.
+inline void ReturnsWithin(std::chrono::milliseconds limit, const char* what,
+                          const std::function<void()>& fn) {
+  std::promise<void> done;
+  std::future<void> returned = done.get_future();
+  std::thread worker([&] {
+    fn();
+    done.set_value();
+  });
+  if (returned.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "%s did not return within %lld ms\n", what,
+                 static_cast<long long>(limit.count()));
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  worker.join();
+}
+
+}  // namespace strip
 
 #endif  // STRIP_TESTS_TEST_UTIL_H_

@@ -259,8 +259,6 @@ TEST_F(UniqueTxnManagerTest, ConcurrentMergesNeverLoseRows) {
     auto task = std::make_shared<TaskControlBlock>(ids.fetch_add(1));
     task->function_name = "fn";
     task->bound_tables = std::move(tables);
-    SpinLockGuard g(tasks_lock);
-    created.push_back(task);
     return task;
   };
 
@@ -292,6 +290,12 @@ TEST_F(UniqueTxnManagerTest, ConcurrentMergesNeverLoseRows) {
         auto r = mgr_.MergeOrCreate("fn", {Value::Str("k")},
                                     OneRowSet("k"), 0, factory);
         ASSERT_TRUE(r.ok());
+        // Publish a new task only once MergeOrCreate has stamped it
+        // (is_unique, unique_key), as the engine does when it submits.
+        if (*r != nullptr) {
+          SpinLockGuard g(tasks_lock);
+          created.push_back(*r);
+        }
       }
     });
   }
